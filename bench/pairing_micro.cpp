@@ -134,6 +134,51 @@ void BM_FieldInverse(benchmark::State& state) {
   }
 }
 
+// The fixed-width field layer the pairing stack runs on (pairing::FpCtx):
+// CIOS multiply, SOS square, limb-native binary-gcd inversion, and the
+// Fermat inversion it was chosen over.
+void BM_FieldMul_Fixed(benchmark::State& state) {
+  auto grp = bench_group();
+  const pairing::FpCtx& fq = grp->ctx().fq();
+  crypto::Drbg rng(std::string_view("micro"));
+  const auto a = fq.random(rng);
+  const auto b = fq.random(rng);
+  for (auto _ : state) benchmark::DoNotOptimize(fq.mul(a, b));
+}
+
+void BM_FieldSqr_Fixed(benchmark::State& state) {
+  auto grp = bench_group();
+  const pairing::FpCtx& fq = grp->ctx().fq();
+  crypto::Drbg rng(std::string_view("micro"));
+  const auto a = fq.random(rng);
+  for (auto _ : state) benchmark::DoNotOptimize(fq.sqr(a));
+}
+
+void BM_FieldInverse_Fixed(benchmark::State& state) {
+  auto grp = bench_group();
+  const pairing::FpCtx& fq = grp->ctx().fq();
+  crypto::Drbg rng(std::string_view("micro"));
+  const auto a = fq.enc(rng.nonzero_below(grp->params().q));
+  for (auto _ : state) benchmark::DoNotOptimize(fq.inv(a));
+}
+
+void BM_FieldInverse_Fermat(benchmark::State& state) {
+  auto grp = bench_group();
+  const pairing::FpCtx& fq = grp->ctx().fq();
+  crypto::Drbg rng(std::string_view("micro"));
+  const auto a = fq.enc(rng.nonzero_below(grp->params().q));
+  for (auto _ : state) benchmark::DoNotOptimize(fq.inv_fermat(a));
+}
+
+// One variable-base window table (what the engine builds per new
+// PK_UID on enrolment).
+void BM_G1_TableBuild(benchmark::State& state) {
+  auto grp = bench_group();
+  crypto::Drbg rng(std::string_view("micro"));
+  const auto p = grp->g1_random(rng);
+  for (auto _ : state) benchmark::DoNotOptimize(grp->g1_precompute(p));
+}
+
 BENCHMARK(BM_Pairing)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
 BENCHMARK(BM_MillerLoop)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
 BENCHMARK(BM_MillerLoop_Precomp)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
@@ -148,6 +193,11 @@ BENCHMARK(BM_HashToZr)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
 BENCHMARK(BM_FieldMul_Montgomery)->Unit(benchmark::kNanosecond)->MinTime(0.05);
 BENCHMARK(BM_FieldMul_PlainDivision)->Unit(benchmark::kNanosecond)->MinTime(0.05);
 BENCHMARK(BM_FieldInverse)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
+BENCHMARK(BM_FieldMul_Fixed)->Unit(benchmark::kNanosecond)->MinTime(0.05);
+BENCHMARK(BM_FieldSqr_Fixed)->Unit(benchmark::kNanosecond)->MinTime(0.05);
+BENCHMARK(BM_FieldInverse_Fixed)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
+BENCHMARK(BM_FieldInverse_Fermat)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
+BENCHMARK(BM_G1_TableBuild)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
 
 // The engine's headline batch: a 16-term pairing product (decrypt's
 // shape at l=8, N_A=... — the dominant cost in Fig. 3b), timed on the

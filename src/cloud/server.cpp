@@ -106,8 +106,7 @@ std::vector<std::string> CloudServer::file_ids() const {
 }
 
 CloudServer::StagedEpoch CloudServer::stage_impl(
-    const abe::UpdateKey& uk, const std::vector<abe::UpdateInfo>& infos,
-    const telemetry::SpanContext& slot_parent) {
+    const abe::UpdateKey& uk, const std::vector<abe::UpdateInfo>& infos) {
   ServerMetrics& sm = ServerMetrics::get();
   // Index the update infos by ciphertext id. Two infos for the same
   // ciphertext are a protocol violation — applying an arbitrary one
@@ -164,14 +163,14 @@ CloudServer::StagedEpoch CloudServer::stage_impl(
   // once before fanning out so all slots take the precomputed path.
   engine::CryptoEngine::for_group(*grp_).warm_pair_precomp(uk.uk1);
   try {
-    // Per-slot spans run on pool workers, so they parent on the caller's
-    // captured context rather than thread-local propagation.
+    // parallel_for runs every slot under this thread's current span (the
+    // caller's epoch/stage span), on whichever worker picks it up.
     engine::CryptoEngine::for_group(*grp_).parallel_for(
         work.size(), [&](size_t w) {
           abe::Ciphertext& ct =
               staged[work[w].file].staged->slots[work[w].slot].key_ct;
-          telemetry::Span slot_span = telemetry::Tracer::global().start_child(
-              "server.reencrypt_slot", slot_parent);
+          telemetry::Span slot_span =
+              telemetry::Tracer::global().start_span("server.reencrypt_slot");
           if (slot_span.active()) {
             slot_span.attr("ct_id", ct.id);
             slot_span.attr("node_id", node_name_);
@@ -230,7 +229,7 @@ size_t CloudServer::reencrypt(const abe::UpdateKey& uk,
   }
   StagedEpoch epoch;
   try {
-    epoch = stage_impl(uk, infos, epoch_span.context());
+    epoch = stage_impl(uk, infos);
   } catch (...) {
     if (epoch_span.active()) epoch_span.attr("outcome", "aborted");
     throw;
@@ -254,7 +253,7 @@ uint64_t CloudServer::stage_reencrypt(const abe::UpdateKey& uk,
     stage_span.attr("from_version", static_cast<uint64_t>(uk.from_version));
     stage_span.attr("node_id", node_name_);
   }
-  StagedEpoch epoch = stage_impl(uk, infos, stage_span.context());
+  StagedEpoch epoch = stage_impl(uk, infos);
   if (epoch.files.empty()) {
     if (stage_span.active()) stage_span.attr("outcome", "empty");
     return 0;

@@ -32,7 +32,6 @@
 
 #include "abe/scheme.h"
 #include "cloud/hybrid.h"
-#include "telemetry/trace.h"
 
 namespace maabe::cloud {
 
@@ -172,10 +171,9 @@ class CloudServer {
   };
 
   /// Staging pass shared by reencrypt() and stage_reencrypt(). Slot
-  /// spans parent on `slot_parent` (the caller's epoch/stage span).
+  /// spans parent on the calling thread's current span.
   StagedEpoch stage_impl(const abe::UpdateKey& uk,
-                         const std::vector<abe::UpdateInfo>& infos,
-                         const telemetry::SpanContext& slot_parent);
+                         const std::vector<abe::UpdateInfo>& infos);
   /// Swap pass shared by reencrypt() and commit_reencrypt().
   size_t commit_impl(StagedEpoch& epoch, std::vector<std::string>* committed_files);
 

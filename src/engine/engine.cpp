@@ -449,13 +449,26 @@ void CryptoEngine::run_items(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  pool_->run(n, fn);
+  // The one place trace context crosses a thread: every item runs under
+  // the caller's current span, whichever thread picks it up, so spans
+  // opened inside an item join the caller's tree at any thread count.
+  const telemetry::SpanContext ctx = telemetry::Tracer::current();
+  pool_->run(n, [&](size_t i) {
+    telemetry::ContextOverride scope(ctx);
+    fn(i);
+  });
 }
 
 void CryptoEngine::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   AdmissionTicket ticket(*this, n);
-  telemetry::Span span = telemetry::Tracer::global().start_span("engine.parallel_for");
+  // The sweep span sits beside the items rather than above them (it is
+  // not made current): items parent on the caller's span exactly as
+  // they would if the caller had looped over them itself.
+  telemetry::Tracer& tracer = telemetry::Tracer::global();
+  const telemetry::SpanContext caller = telemetry::Tracer::current();
+  telemetry::Span span = caller.valid() ? tracer.start_child("engine.parallel_for", caller)
+                                        : tracer.start_span("engine.parallel_for");
   if (span.active()) span.attr("items", static_cast<uint64_t>(n));
   EngineStats d;
   d.tasks = n;

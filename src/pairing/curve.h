@@ -5,6 +5,8 @@
 // x = X/Z^2, y = Y/Z^3) to avoid per-step field inversions.
 #pragma once
 
+#include <vector>
+
 #include "pairing/fp.h"
 
 namespace maabe::pairing {
@@ -12,8 +14,8 @@ namespace maabe::pairing {
 /// Affine point; coordinates in Montgomery form. `inf` marks the point
 /// at infinity (coordinates ignored).
 struct AffinePoint {
-  math::Bignum x;
-  math::Bignum y;
+  Fp x;
+  Fp y;
   bool inf = true;
 
   static AffinePoint infinity() { return {}; }
@@ -21,9 +23,9 @@ struct AffinePoint {
 
 /// Jacobian point used internally by scalar multiplication and pairing.
 struct JacPoint {
-  math::Bignum x;
-  math::Bignum y;
-  math::Bignum z;  // zero z encodes infinity
+  Fp x;
+  Fp y;
+  Fp z;  // zero z encodes infinity
 };
 
 class CurveCtx {
@@ -44,13 +46,16 @@ class CurveCtx {
   // Jacobian core (also used by the Miller loop).
   JacPoint to_jac(const AffinePoint& p) const;
   AffinePoint to_affine(const JacPoint& p) const;
+  /// to_affine() of every point with one field inversion in total
+  /// (Montgomery's trick over the Z coordinates); same bits.
+  std::vector<AffinePoint> to_affine_batch(const std::vector<JacPoint>& ps) const;
   JacPoint jac_dbl(const JacPoint& p) const;
   /// Mixed addition with an affine q; q must not be infinity.
   JacPoint jac_add_mixed(const JacPoint& p, const AffinePoint& q) const;
 
   /// Solves y^2 = x^3 + x for y given x (Montgomery form); returns false
   /// if the RHS is a non-residue.
-  bool lift_x(const math::Bignum& x, math::Bignum* y) const;
+  bool lift_x(const Fp& x, Fp* y) const;
 
  private:
   const FpCtx& fq_;

@@ -23,22 +23,30 @@ G1FixedBase::G1FixedBase(const CurveCtx& curve, const AffinePoint& base, int exp
     : curve_(curve), window_bits_(window_bits) {
   if (base.inf) throw MathError("G1FixedBase: base must not be infinity");
   if (window_bits < 1 || window_bits > 8) throw MathError("G1FixedBase: bad window");
+  if (exp_bits < 1) throw MathError("G1FixedBase: bad exponent width");
   digits_ = (exp_bits + window_bits - 1) / window_bits;
-  const int span = 1 << window_bits;
+  const size_t span = size_t{1} << window_bits;
 
-  table_.resize(digits_);
-  AffinePoint digit_base = base;  // base^(2^(w*d))
-  for (int d = 0; d < digits_; ++d) {
-    auto& row = table_[d];
-    row.resize(span);
-    row[0] = AffinePoint::infinity();
-    row[1] = digit_base;
-    for (int j = 2; j < span; ++j) row[j] = curve_.add(row[j - 1], digit_base);
-    if (d + 1 < digits_) {
-      // digit_base <<= w  (w doublings).
-      digit_base = curve_.add(row[span - 1], digit_base);
-    }
+  // Digit bases B_d = base * 2^(w*d): w Jacobian doublings apart, all
+  // normalized with one inversion (mixed additions want them affine).
+  std::vector<JacPoint> jac(digits_);
+  jac[0] = curve_.to_jac(base);
+  for (int d = 1; d < digits_; ++d) {
+    jac[d] = jac[d - 1];
+    for (int b = 0; b < window_bits; ++b) jac[d] = curve_.jac_dbl(jac[d]);
   }
+  const std::vector<AffinePoint> digit_base = curve_.to_affine_batch(jac);
+
+  // Rows T[d][j] = T[d][j-1] + B_d by mixed addition, then one more
+  // batch normalization for the whole table. Affine coordinates are
+  // canonical, so every entry has the bits a per-entry affine add gives.
+  jac.assign(digits_ * span, curve_.to_jac(AffinePoint::infinity()));
+  for (int d = 0; d < digits_; ++d) {
+    if (digit_base[d].inf) continue;  // a small-order base: row stays infinity
+    JacPoint* row = &jac[d * span];
+    for (size_t j = 1; j < span; ++j) row[j] = curve_.jac_add_mixed(row[j - 1], digit_base[d]);
+  }
+  table_ = curve_.to_affine_batch(jac);
 }
 
 AffinePoint G1FixedBase::pow(const Bignum& k) const {
@@ -48,8 +56,9 @@ AffinePoint G1FixedBase::pow(const Bignum& k) const {
   // affine table entries); a single inversion at the end.
   JacPoint acc = curve_.to_jac(AffinePoint::infinity());
   for (int d = 0; d < digits_; ++d) {
-    const int digit = digit_at(k, d, window_bits_);
-    if (digit != 0) acc = curve_.jac_add_mixed(acc, table_[d][digit]);
+    // Entry 0 — and, for a base of tiny order, others — is infinity.
+    const AffinePoint& e = entry(d, digit_at(k, d, window_bits_));
+    if (!e.inf) acc = curve_.jac_add_mixed(acc, e);
   }
   return curve_.to_affine(acc);
 }

@@ -9,7 +9,9 @@
 //
 // The tables are built once per Group (see group.h) and shared by all
 // callers; lookups are value-dependent (NOT constant-time, like the rest
-// of this research library).
+// of this research library). G1 tables are built in Jacobian
+// coordinates and normalized to affine in two batches (digit bases,
+// then entries), one field inversion each.
 #pragma once
 
 #include <vector>
@@ -30,12 +32,19 @@ class G1FixedBase {
   /// base^k (written multiplicatively) for 0 <= k < 2^exp_bits.
   AffinePoint pow(const math::Bignum& k) const;
 
+  int digits() const { return digits_; }
+  int window_bits() const { return window_bits_; }
+  /// T[d][j] = base * (j << (w*d)); the j = 0 entries are infinity.
+  const AffinePoint& entry(int d, int j) const {
+    return table_[static_cast<size_t>(d) * (size_t{1} << window_bits_) + j];
+  }
+
  private:
   const CurveCtx& curve_;
   int window_bits_;
   int digits_;
-  /// table_[d][j] = base * (j << (w*d)); j = 0 entries stay infinity.
-  std::vector<std::vector<AffinePoint>> table_;
+  /// T[d][j] stored row-major at d * 2^w + j.
+  std::vector<AffinePoint> table_;
 };
 
 /// Window table for a fixed element of the order-r subgroup of F_{q^2}.

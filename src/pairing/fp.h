@@ -1,64 +1,145 @@
-// Prime-field context: Montgomery arithmetic plus the field-level
-// operations the curve and pairing layers need (inversion, square roots,
-// serialization, uniform sampling).
+// Prime-field context: fixed-width Montgomery arithmetic plus the
+// field-level operations the curve and pairing layers need (inversion,
+// square roots, serialization, uniform sampling).
 //
-// Field elements are plain math::Bignum values in Montgomery form; all
-// operations go through the owning FpCtx (context-object style keeps the
-// hot path free of per-element field pointers).
+// Field elements are Fp values: a plain little-endian array of 64-bit
+// limbs in Montgomery form (a*R mod p, R = 2^(64*limbs)). The owning
+// FpCtx fixes the limb count from the modulus (3 for the 192-bit test
+// curve, 8 for the paper's 512-bit field) and runs kernels specialised
+// and unrolled for it; limbs above that count stay zero, so == compares
+// values. All operations go through the context (context-object style
+// keeps the hot path free of per-element field pointers). See DESIGN.md
+// "Field representation" for the reduction bound and inversion choice.
 #pragma once
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
 
 #include "crypto/drbg.h"
 #include "math/bignum.h"
-#include "math/montgomery.h"
 
 namespace maabe::pairing {
 
+/// Base-field element in Montgomery form (64 bytes, no heap).
+struct Fp {
+  /// Widest supported field: 512 bits.
+  static constexpr int kMaxLimbs = 8;
+
+  std::array<uint64_t, kMaxLimbs> l{};
+
+  bool is_zero() const {
+    uint64_t acc = 0;
+    for (uint64_t v : l) acc |= v;
+    return acc == 0;
+  }
+  friend bool operator==(const Fp& x, const Fp& y) = default;
+};
+
 class FpCtx {
  public:
-  /// p must be an odd prime.
+  /// p must be an odd prime of at most 512 bits. Throws MathError
+  /// otherwise.
   explicit FpCtx(const math::Bignum& p);
 
-  const math::Bignum& modulus() const { return mont_.modulus(); }
-  size_t byte_length() const { return mont_.byte_length(); }
+  const math::Bignum& modulus() const { return p_big_; }
+  size_t byte_length() const { return byte_len_; }
+  /// Limbs per element (ceil(bits(p) / 64)).
+  int limbs() const { return n_; }
 
-  // Montgomery codec.
-  math::Bignum enc(const math::Bignum& plain) const { return mont_.to_mont(plain); }
-  math::Bignum dec(const math::Bignum& m) const { return mont_.from_mont(m); }
+  // Montgomery codec; `plain` must be < p.
+  Fp enc(const math::Bignum& plain) const;
+  math::Bignum dec(const Fp& m) const;
 
-  // Arithmetic on Montgomery-form elements.
-  math::Bignum add(const math::Bignum& a, const math::Bignum& b) const { return mont_.add(a, b); }
-  math::Bignum sub(const math::Bignum& a, const math::Bignum& b) const { return mont_.sub(a, b); }
-  math::Bignum neg(const math::Bignum& a) const { return mont_.neg(a); }
-  math::Bignum mul(const math::Bignum& a, const math::Bignum& b) const { return mont_.mul(a, b); }
-  math::Bignum sqr(const math::Bignum& a) const { return mont_.sqr(a); }
-  math::Bignum inv(const math::Bignum& a) const;
-  math::Bignum pow(const math::Bignum& base, const math::Bignum& exp) const {
-    return mont_.pow(base, exp);
+  // Arithmetic on Montgomery-form elements. Inputs must be reduced
+  // (< p, as every FpCtx result is); outputs are reduced.
+  Fp add(const Fp& a, const Fp& b) const {
+    Fp r;
+    k_->add(r.l.data(), a.l.data(), b.l.data(), p_.data());
+    return r;
   }
-  math::Bignum dbl(const math::Bignum& a) const { return mont_.add(a, a); }
+  Fp sub(const Fp& a, const Fp& b) const {
+    Fp r;
+    k_->sub(r.l.data(), a.l.data(), b.l.data(), p_.data());
+    return r;
+  }
+  Fp neg(const Fp& a) const {
+    Fp r;
+    k_->neg(r.l.data(), a.l.data(), p_.data());
+    return r;
+  }
+  Fp dbl(const Fp& a) const { return add(a, a); }
+  /// CIOS Montgomery product.
+  Fp mul(const Fp& a, const Fp& b) const {
+    Fp r;
+    k_->mul(r.l.data(), a.l.data(), b.l.data(), p_.data(), n0_);
+    return r;
+  }
+  /// SOS Montgomery square; same bits as mul(a, a).
+  Fp sqr(const Fp& a) const {
+    Fp r;
+    k_->sqr(r.l.data(), a.l.data(), p_.data(), n0_);
+    return r;
+  }
+  /// Limb-native binary extended gcd. Throws MathError on zero.
+  Fp inv(const Fp& a) const;
+  /// a^(p-2) by square-and-multiply — the Fermat alternative to inv(),
+  /// kept for the differential test and the inversion microbenchmark.
+  Fp inv_fermat(const Fp& a) const;
+  /// Montgomery's trick: replaces every nonzero xs[i] by its inverse
+  /// with one inv() and 3 multiplications per element; zeros stay zero.
+  void batch_inv(Fp* xs, size_t n) const;
+  /// base^exp with exp a plain (non-Montgomery) integer.
+  Fp pow(const Fp& base, const math::Bignum& exp) const;
 
-  const math::Bignum& one() const { return mont_.one(); }
-  math::Bignum zero() const { return math::Bignum(); }
+  const Fp& one() const { return one_; }
+  Fp zero() const { return Fp{}; }
 
-  /// Quadratic-residue test via Euler's criterion (element in Montgomery
-  /// form; zero counts as a residue).
-  bool is_qr(const math::Bignum& a) const;
+  /// Parity of the plain (non-Montgomery) value — the sign bit of the
+  /// compressed point encoding.
+  bool is_odd(const Fp& a) const;
+
+  /// Quadratic-residue test via Euler's criterion (zero counts as a
+  /// residue).
+  bool is_qr(const Fp& a) const;
 
   /// Square root for p = 3 (mod 4): a^((p+1)/4). Throws MathError if `a`
   /// is a non-residue.
-  math::Bignum sqrt(const math::Bignum& a) const;
+  Fp sqrt(const Fp& a) const;
 
   /// Uniform field element (Montgomery form).
-  math::Bignum random(crypto::Drbg& rng) const;
+  Fp random(crypto::Drbg& rng) const;
 
   /// Fixed-width big-endian serialization of the *plain* value.
-  Bytes to_bytes(const math::Bignum& mont_form) const;
-  math::Bignum from_bytes(ByteView data) const;
+  Bytes to_bytes(const Fp& mont_form) const;
+  /// Throws WireError on a bad length or a value >= p.
+  Fp from_bytes(ByteView data) const;
+
+  /// Kernel table for one limb count (see fp.cpp).
+  struct Kernels {
+    void (*add)(uint64_t* r, const uint64_t* a, const uint64_t* b, const uint64_t* p);
+    void (*sub)(uint64_t* r, const uint64_t* a, const uint64_t* b, const uint64_t* p);
+    void (*neg)(uint64_t* r, const uint64_t* a, const uint64_t* p);
+    void (*mul)(uint64_t* r, const uint64_t* a, const uint64_t* b, const uint64_t* p,
+                uint64_t n0);
+    void (*sqr)(uint64_t* r, const uint64_t* a, const uint64_t* p, uint64_t n0);
+    /// Plain (non-Montgomery) inverse of a nonzero a < p.
+    void (*inv)(uint64_t* r, const uint64_t* a, const uint64_t* p);
+  };
 
  private:
-  math::MontCtx mont_;
+  const Kernels* k_ = nullptr;
+  std::array<uint64_t, Fp::kMaxLimbs> p_{};
+  uint64_t n0_ = 0;  // -p^{-1} mod 2^64
+  int n_ = 0;
+  size_t byte_len_ = 0;
+  math::Bignum p_big_;
+  Fp one_;  // R mod p
+  Fp r2_;   // R^2 mod p (to_mont multiplier)
+  Fp r3_;   // R^3 mod p (fixes up the plain inverse of a Montgomery value)
   math::Bignum qr_exp_;    // (p-1)/2
   math::Bignum sqrt_exp_;  // (p+1)/4
+  math::Bignum fermat_exp_;  // p-2
 };
 
 }  // namespace maabe::pairing

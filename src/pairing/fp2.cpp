@@ -17,21 +17,21 @@ Fp2 Fp2Ctx::sub(const Fp2& x, const Fp2& y) const {
 Fp2 Fp2Ctx::neg(const Fp2& x) const { return {fq_.neg(x.a), fq_.neg(x.b)}; }
 
 Fp2 Fp2Ctx::mul(const Fp2& x, const Fp2& y) const {
-  const Bignum t0 = fq_.mul(x.a, y.a);
-  const Bignum t1 = fq_.mul(x.b, y.b);
-  const Bignum mixed = fq_.mul(fq_.add(x.a, x.b), fq_.add(y.a, y.b));
+  const Fp t0 = fq_.mul(x.a, y.a);
+  const Fp t1 = fq_.mul(x.b, y.b);
+  const Fp mixed = fq_.mul(fq_.add(x.a, x.b), fq_.add(y.a, y.b));
   return {fq_.sub(t0, t1), fq_.sub(fq_.sub(mixed, t0), t1)};
 }
 
 Fp2 Fp2Ctx::sqr(const Fp2& x) const {
-  const Bignum t = fq_.mul(fq_.sub(x.a, x.b), fq_.add(x.a, x.b));
-  const Bignum ab = fq_.mul(x.a, x.b);
+  const Fp t = fq_.mul(fq_.sub(x.a, x.b), fq_.add(x.a, x.b));
+  const Fp ab = fq_.mul(x.a, x.b);
   return {t, fq_.dbl(ab)};
 }
 
 Fp2 Fp2Ctx::inv(const Fp2& x) const {
-  const Bignum norm = fq_.add(fq_.sqr(x.a), fq_.sqr(x.b));
-  const Bignum d = fq_.inv(norm);  // throws on zero
+  const Fp norm = fq_.add(fq_.sqr(x.a), fq_.sqr(x.b));
+  const Fp d = fq_.inv(norm);  // throws on zero
   return {fq_.mul(x.a, d), fq_.neg(fq_.mul(x.b, d))};
 }
 
@@ -52,8 +52,8 @@ Fp2 Fp2Ctx::sqr_cyclotomic(const Fp2& x) const {
   // With a^2 + b^2 = 1: (a+bi)^2 = (a^2 - b^2) + 2ab i
   //                             = (2a^2 - 1) + ((a+b)^2 - 1) i.
   // Exact canonical arithmetic makes this bit-identical to sqr(x).
-  const Bignum a2 = fq_.sqr(x.a);
-  const Bignum s2 = fq_.sqr(fq_.add(x.a, x.b));
+  const Fp a2 = fq_.sqr(x.a);
+  const Fp s2 = fq_.sqr(fq_.add(x.a, x.b));
   return {fq_.sub(fq_.dbl(a2), fq_.one()), fq_.sub(s2, fq_.one())};
 }
 

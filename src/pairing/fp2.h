@@ -12,8 +12,8 @@ namespace maabe::pairing {
 
 /// Element a + b*i with both coordinates in Montgomery form.
 struct Fp2 {
-  math::Bignum a;
-  math::Bignum b;
+  Fp a;
+  Fp b;
 
   friend bool operator==(const Fp2& x, const Fp2& y) = default;
 };

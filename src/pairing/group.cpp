@@ -172,7 +172,7 @@ Bytes G1::to_bytes() const {
     return out;
   }
   out = fq.to_bytes(pt_.x);
-  out.push_back(static_cast<uint8_t>(fq.dec(pt_.y).is_odd() ? 1 : 0));
+  out.push_back(static_cast<uint8_t>(fq.is_odd(pt_.y) ? 1 : 0));
   return out;
 }
 
@@ -389,8 +389,8 @@ G1 Group::hash_to_g1(ByteView data) const {
     w.var_bytes(data);
     const Bytes xb = expand("maabe/hash-to-g1", w.bytes(), fq.byte_length() + 16);
     const Bignum x_plain = Bignum::mod(Bignum::from_bytes_be(xb), fq.modulus());
-    const Bignum x = fq.enc(x_plain);
-    Bignum y;
+    const Fp x = fq.enc(x_plain);
+    Fp y;
     if (!curve.lift_x(x, &y)) continue;
     // Pick the sign of y from one more hash bit for uniformity.
     const Bytes sign = expand("maabe/hash-to-g1/sign", w.bytes(), 1);
@@ -417,10 +417,10 @@ G1 Group::g1_from_bytes(ByteView data) const {
     return g1_identity();
   }
   if (flag > 1) throw WireError("g1_from_bytes: bad sign flag");
-  const Bignum x = fq.from_bytes(xb);
-  Bignum y;
+  const Fp x = fq.from_bytes(xb);
+  Fp y;
   if (!ctx_.curve().lift_x(x, &y)) throw WireError("g1_from_bytes: x not on curve");
-  if (fq.dec(y).is_odd() != (flag == 1)) y = fq.neg(y);
+  if (fq.is_odd(y) != (flag == 1)) y = fq.neg(y);
   return G1(this, {x, y, false});
 }
 

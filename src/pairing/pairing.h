@@ -58,7 +58,7 @@ class PairingPrecomp {
 
  private:
   struct Line {
-    math::Bignum c0, c1, c2;
+    Fp c0, c1, c2;
     uint32_t sqrs_before;  ///< f-squarings preceding this line multiply
   };
   const PairingCtx* ctx_;

@@ -76,8 +76,8 @@ TEST_F(FixedBaseTest, VariousWindowSizesAgree) {
   // Find a curve point by lifting random x values.
   AffinePoint pt = AffinePoint::infinity();
   for (int i = 0; i < 100 && pt.inf; ++i) {
-    const Bignum x = fq.random(local);
-    Bignum y;
+    const Fp x = fq.random(local);
+    Fp y;
     if (curve.lift_x(x, &y)) pt = {x, y, false};
   }
   ASSERT_FALSE(pt.inf);
@@ -101,8 +101,8 @@ TEST_F(FixedBaseTest, ExponentBeyondTableRangeRejected) {
   AffinePoint pt = AffinePoint::infinity();
   crypto::Drbg local(std::string_view("range"));
   for (int i = 0; i < 100 && pt.inf; ++i) {
-    const Bignum x = fq.random(local);
-    Bignum y;
+    const Fp x = fq.random(local);
+    Fp y;
     if (curve.lift_x(x, &y)) pt = {x, y, false};
   }
   ASSERT_FALSE(pt.inf);
@@ -127,12 +127,12 @@ TEST_F(FixedBaseTest, SubgroupMembershipChecks) {
   crypto::Drbg local(std::string_view("coset"));
   bool saw_outside = false;
   for (int i = 0; i < 20 && !saw_outside; ++i) {
-    const Bignum x = fq.random(local);
-    Bignum y;
+    const Fp x = fq.random(local);
+    Fp y;
     if (!curve.lift_x(x, &y)) continue;
     // Wrap through the byte decoder (which does NOT cofactor-clear).
     Bytes enc = fq.to_bytes(x);
-    enc.push_back(static_cast<uint8_t>(fq.dec(y).is_odd() ? 1 : 0));
+    enc.push_back(static_cast<uint8_t>(fq.is_odd(y) ? 1 : 0));
     const G1 raw = grp->g1_from_bytes(enc);
     if (!raw.in_subgroup()) saw_outside = true;
   }
