@@ -10,10 +10,14 @@
 # silently floor-checking a defaulted value.
 #
 # Binary -> guarded fields:
-#   pairing_micro  -> BENCH_pairing_micro.json kernel_speedup
-#       shared-final-exponentiation kernel vs the legacy
-#       pair-then-multiply fold. A same-process ratio: host speed
-#       cancels, guarded by an absolute floor.
+#   pairing_micro  -> BENCH_pairing_micro.json kernel_speedup,
+#                     field_kernel_speedup
+#       kernel_speedup: shared-final-exponentiation kernel vs the legacy
+#       pair-then-multiply fold. field_kernel_speedup: the fixed-width
+#       512-bit field multiply (pairing::FpCtx) vs the retained generic
+#       Bignum MontCtx::mul, in alternating rounds. Both are
+#       same-process ratios: host speed cancels, guarded by absolute
+#       floors.
 #   revocation     -> BENCH_revocation.json epoch_transport,
 #                     cluster_epoch_efficiency
 #       epoch_transport is a wall time, guarded as a relative
@@ -58,14 +62,17 @@ export MAABE_BENCH_SMALL=1
 
 # Cheap google-benchmark filters; the JSON reports each bench always
 # emits (engine_batch_report / emit_phase_breakdown) are the real work.
+# Registered names carry a /min_time:... suffix, so the filters anchor
+# on the name and its trailing slash rather than on the end of line.
 # The workload bench has no google-benchmark harness: its scenario loop
 # is the run.
-"$PAIRING_MICRO" --benchmark_filter='BM_FinalExp$'
-"$REVOCATION" --benchmark_filter='BM_KeyUpdate_User/2$'
+"$PAIRING_MICRO" --benchmark_filter='^BM_FinalExp/'
+"$REVOCATION" --benchmark_filter='^BM_KeyUpdate_User/2/'
 "$WORKLOAD"
 
 # pairing_micro guards
 "$GUARD" floor BENCH_pairing_micro.json kernel_speedup 1.3
+"$GUARD" floor BENCH_pairing_micro.json field_kernel_speedup 1.8
 
 # revocation guards
 "$GUARD" regress BENCH_revocation.json "$BASELINES/BENCH_revocation.json" \

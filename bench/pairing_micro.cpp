@@ -1,15 +1,22 @@
 // Pairing-substrate microbenchmarks — the anchor for every timing claim
 // in the table/figure reproductions, plus the Montgomery-vs-plain
-// modular-multiplication ablation called out in DESIGN.md.
+// modular-multiplication ablation called out in DESIGN.md and the
+// fixed-width field kernels against the generic Bignum MontCtx.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "bench_common.h"
 #include "bench_json.h"
 #include "engine/engine.h"
 #include "math/montgomery.h"
+#include "pairing/fp.h"
+#include "pairing/params.h"
 
 namespace maabe::bench {
 namespace {
@@ -199,6 +206,64 @@ BENCHMARK(BM_FieldInverse_Fixed)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
 BENCHMARK(BM_FieldInverse_Fermat)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
 BENCHMARK(BM_G1_TableBuild)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
 
+/// Nanoseconds per call of the fixed-width FpCtx::mul and of the retained
+/// generic MontCtx::mul at the paper's 512-bit field, timed in this
+/// process: rounds alternate between the two kernels and each keeps its
+/// fastest round, so host speed drifts cancel in the ratio.
+struct FieldKernelTiming {
+  double fixed_ns = 0;
+  double generic_ns = 0;
+};
+
+FieldKernelTiming time_field_kernels() {
+  using Clock = std::chrono::steady_clock;
+  const math::Bignum& q = pairing::TypeAParams::pbc_a512().q;
+  const pairing::FpCtx fq(q);
+  const math::MontCtx mont(q);
+  crypto::Drbg rng(std::string_view("field-kernels"));
+  const math::Bignum a0 = rng.below(q), b0 = rng.below(q);
+  pairing::Fp af = fq.enc(a0);
+  const pairing::Fp bf = fq.enc(b0);
+  math::Bignum ag = mont.to_mont(a0);
+  const math::Bignum bg = mont.to_mont(b0);
+
+  constexpr int kMuls = 20000;
+  constexpr int kRounds = 9;
+  const auto ns_per = [](Clock::time_point t0, Clock::time_point t1) {
+    return std::chrono::duration<double, std::nano>(t1 - t0).count() / kMuls;
+  };
+  FieldKernelTiming best{1e18, 1e18};
+  for (int r = 0; r < kRounds; ++r) {
+    auto t0 = Clock::now();
+    for (int i = 0; i < kMuls; ++i) af = fq.mul(af, bf);
+    auto t1 = Clock::now();
+    best.fixed_ns = std::min(best.fixed_ns, ns_per(t0, t1));
+    t0 = Clock::now();
+    for (int i = 0; i < kMuls; ++i) ag = mont.mul(ag, bg);
+    t1 = Clock::now();
+    best.generic_ns = std::min(best.generic_ns, ns_per(t0, t1));
+  }
+  // Same chain of products in both representations: a mismatch means the
+  // timing compared different work.
+  if (fq.dec(af) != mont.from_mont(ag)) {
+    std::fprintf(stderr, "field kernels disagree\n");
+    std::exit(1);
+  }
+  return best;
+}
+
+std::string host_cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
 // The engine's headline batch: a 16-term pairing product (decrypt's
 // shape at l=8, N_A=... — the dominant cost in Fig. 3b), timed on the
 // legacy serial path vs the thread pool. Emits BENCH_pairing_micro.json.
@@ -248,6 +313,12 @@ void engine_batch_report() {
   const double kernel_ms = serial_ms;  // same work, pool bypassed
   const double kernel_speedup = kernel_ms > 0 ? fold_ms / kernel_ms : 0.0;
 
+  const FieldKernelTiming field = time_field_kernels();
+  const double field_speedup = field.fixed_ns > 0 ? field.generic_ns / field.fixed_ns : 0.0;
+
+  std::printf("\n512-bit field multiply: fixed-width %.1f ns, generic MontCtx %.1f ns"
+              "  field_kernel_speedup %.2fx\n",
+              field.fixed_ns, field.generic_ns, field_speedup);
   std::printf("\n%zu-pairing product batch (%d reps):\n", kTerms, kReps);
   std::printf("  pair-then-multiply  : %8.3f ms   (%zu final exps)\n", fold_ms, kTerms);
   std::printf("  kernel (1 thread)   : %8.3f ms   (1 final exp)  speedup %.2fx\n",
@@ -265,6 +336,11 @@ void engine_batch_report() {
       .put("reps", kReps)
       .put("hardware_concurrency",
            static_cast<uint64_t>(std::thread::hardware_concurrency()))
+      .put("cpu_model", host_cpu_model())
+      .put("engine_threads", engine::CryptoEngine::default_threads())
+      .put("field_mul_fixed_ns", field.fixed_ns)
+      .put("field_mul_generic_ns", field.generic_ns)
+      .put("field_kernel_speedup", field_speedup)
       .put("serial_threads", 1)
       .put("pool_threads", pool_threads)
       .put("serial_wall_ms", serial_ms)

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "common/errors.h"
+#include "pairing/fp.h"
 
 namespace maabe::math {
 namespace {
@@ -146,6 +147,46 @@ TEST(MontCtx, ByteLength) {
   EXPECT_EQ(MontCtx(H(kQ512)).byte_length(), 64u);
   EXPECT_EQ(MontCtx(H("17")).byte_length(), 1u);
   EXPECT_EQ(MontCtx(H("101")).byte_length(), 2u);
+}
+
+// The pairing stack runs on the fixed-width kernels of pairing::FpCtx;
+// MontCtx stays as the generic Bignum reference (and the baseline of the
+// field_kernel_speedup ratio). Both use R = 2^(64 * limbs), so their
+// Montgomery residues must agree limb for limb.
+TEST(MontCtx, FixedWidthKernelsAgreeWithGenericMontCtx) {
+  std::mt19937_64 rng(2024);
+  for (const char* mod : {"17", "ffffffffffffffffffffffffffffff61",
+                          "a8a00006952d5bd44d531e0f159f2117c2792ecb0de393eb", kQ512}) {
+    const Bignum p = H(mod);
+    const MontCtx m(p);
+    const pairing::FpCtx fq(p);
+    ASSERT_EQ(fq.limbs(), m.limbs());
+    const auto same = [&](const pairing::Fp& x, const Bignum& y) {
+      for (int j = 0; j < pairing::Fp::kMaxLimbs; ++j)
+        if (x.l[j] != y.limb(j)) return false;
+      return true;
+    };
+    EXPECT_TRUE(same(fq.one(), m.one())) << mod;
+    for (int i = 0; i < 40; ++i) {
+      Bytes ab(m.byte_length() + 8), bb(m.byte_length() + 8);
+      for (auto& x : ab) x = static_cast<uint8_t>(rng());
+      for (auto& x : bb) x = static_cast<uint8_t>(rng());
+      const Bignum a = Bignum::mod(Bignum::from_bytes_be(ab), p);
+      const Bignum b = i == 0 ? Bignum::sub(p, Bignum::from_u64(1))
+                              : Bignum::mod(Bignum::from_bytes_be(bb), p);
+      const Bignum am = m.to_mont(a), bm = m.to_mont(b);
+      const pairing::Fp af = fq.enc(a), bf = fq.enc(b);
+      ASSERT_TRUE(same(af, am)) << mod;
+      EXPECT_TRUE(same(fq.mul(af, bf), m.mul(am, bm))) << mod;
+      EXPECT_TRUE(same(fq.sqr(af), m.sqr(am))) << mod;
+      EXPECT_TRUE(same(fq.add(af, bf), m.add(am, bm))) << mod;
+      EXPECT_TRUE(same(fq.sub(af, bf), m.sub(am, bm))) << mod;
+      EXPECT_TRUE(same(fq.neg(af), m.neg(am))) << mod;
+      EXPECT_TRUE(same(fq.pow(af, b), m.pow(am, b))) << mod;
+      if (!a.is_zero()) EXPECT_TRUE(same(fq.inv(af), m.inv(am))) << mod;
+      EXPECT_EQ(fq.dec(af), m.from_mont(am)) << mod;
+    }
+  }
 }
 
 }  // namespace

@@ -172,5 +172,116 @@ TEST_F(CurveTest, UninitializedElementsRejected) {
   EXPECT_THROW((void)z.to_bytes(), MathError);
 }
 
+// The three decoder-side checks — g1_from_bytes, the uncompressed
+// decoder and in_subgroup — reject exactly the inputs they rejected
+// before the field layer moved to fixed-width limbs. Every input is
+// built from bytes and plain Bignum arithmetic (no field-layer calls),
+// at both curve sizes.
+class G1DecoderChecks : public ::testing::TestWithParam<bool> {
+ protected:
+  G1DecoderChecks()
+      : grp(GetParam() ? Group::pbc_a512() : Group::test_small()),
+        q(grp->params().q),
+        width(grp->ctx().fq().byte_length()) {}
+
+  Bignum rhs(const Bignum& x) const {  // x^3 + x mod q
+    return Bignum::mod_add(Bignum::mod_mul(Bignum::mod_mul(x, x, q), x, q), x, q);
+  }
+  bool is_qr(const Bignum& v) const {
+    return Bignum::mod_pow(v, Bignum::shr(Bignum::sub(q, Bignum::from_u64(1)), 1), q)
+        .is_one();
+  }
+  Bytes compressed(const Bignum& x, uint8_t flag) const {
+    Bytes out = x.to_bytes_be(width);
+    out.push_back(flag);
+    return out;
+  }
+  Bytes uncompressed(const Bignum& x, const Bignum& y) const {
+    Bytes out = x.to_bytes_be(width);
+    const Bytes yb = y.to_bytes_be(width);
+    out.insert(out.end(), yb.begin(), yb.end());
+    out.push_back(0);
+    return out;
+  }
+
+  std::shared_ptr<const Group> grp;
+  Bignum q;
+  size_t width;
+};
+
+TEST_P(G1DecoderChecks, RejectMalformedOffCurveAndAcceptCosetPoints) {
+  // Find one x whose x^3 + x is a non-residue (not on the curve) and one
+  // whose is a residue (a point, almost surely outside the subgroup).
+  Bignum off_x, on_x, on_y;
+  bool have_off = false, have_on = false;
+  for (uint64_t v = 2; v < 200 && !(have_off && have_on); ++v) {
+    const Bignum x = Bignum::from_u64(v);
+    if (is_qr(rhs(x))) {
+      if (!have_on) {
+        on_x = x;
+        on_y = Bignum::mod_pow(rhs(x), Bignum::shr(Bignum::add(q, Bignum::from_u64(1)), 2), q);
+        ASSERT_EQ(Bignum::mod_mul(on_y, on_y, q), rhs(x));
+        have_on = true;
+      }
+    } else if (!have_off) {
+      off_x = x;
+      have_off = true;
+    }
+  }
+  ASSERT_TRUE(have_off && have_on);
+
+  // ---- compressed: x || flag
+  EXPECT_THROW(grp->g1_from_bytes(Bytes(grp->g1_size() - 1)), WireError);
+  EXPECT_THROW(grp->g1_from_bytes(Bytes(grp->g1_size() + 1)), WireError);
+  EXPECT_THROW(grp->g1_from_bytes(compressed(on_x, 3)), WireError);      // bad flag
+  EXPECT_THROW(grp->g1_from_bytes(compressed(on_x, 2)), WireError);      // dirty infinity
+  EXPECT_THROW(grp->g1_from_bytes(compressed(off_x, 0)), WireError);     // not on curve
+  EXPECT_THROW(grp->g1_from_bytes(compressed(off_x, 1)), WireError);
+  EXPECT_THROW(grp->g1_from_bytes(compressed(q, 0)), WireError);         // x == q
+  EXPECT_THROW(grp->g1_from_bytes(Bytes(grp->g1_size(), 0xff)), WireError);
+  EXPECT_TRUE(grp->g1_from_bytes(compressed(Bignum(), 2)).is_identity());
+
+  // ---- uncompressed: x || y || flag
+  EXPECT_THROW(grp->g1_from_bytes_uncompressed(Bytes(grp->g1_uncompressed_size() + 1)),
+               WireError);
+  Bytes flag1 = uncompressed(on_x, on_y);
+  flag1.back() = 1;
+  EXPECT_THROW(grp->g1_from_bytes_uncompressed(flag1), WireError);
+  EXPECT_THROW(grp->g1_from_bytes_uncompressed(uncompressed(q, on_y)), WireError);
+  EXPECT_THROW(grp->g1_from_bytes_uncompressed(uncompressed(on_x, q)), WireError);
+  const Bignum y_plus_1 = Bignum::mod_add(on_y, Bignum::from_u64(1), q);
+  EXPECT_THROW(grp->g1_from_bytes_uncompressed(uncompressed(on_x, y_plus_1)), WireError);
+  EXPECT_THROW(grp->g1_from_bytes_uncompressed(uncompressed(off_x, on_y)), WireError);
+
+  // ---- on-curve coset points decode (both forms, both signs) but fail
+  // the subgroup check; the two encodings agree.
+  const G1 c0 = grp->g1_from_bytes(compressed(on_x, 0));
+  const G1 c1 = grp->g1_from_bytes(compressed(on_x, 1));
+  const G1 u = grp->g1_from_bytes_uncompressed(uncompressed(on_x, on_y));
+  EXPECT_EQ(c0, c1.neg());
+  EXPECT_EQ(u, on_y.is_odd() ? c1 : c0);
+  EXPECT_EQ(u.to_bytes_uncompressed(), uncompressed(on_x, on_y));
+  EXPECT_FALSE(c0.in_subgroup());
+  EXPECT_FALSE(u.in_subgroup());
+
+  // (0, 0) is on the curve with order 2: decodes, not in the subgroup.
+  const G1 two_torsion = grp->g1_from_bytes_uncompressed(uncompressed(Bignum(), Bignum()));
+  EXPECT_FALSE(two_torsion.is_identity());
+  EXPECT_FALSE(two_torsion.in_subgroup());
+  EXPECT_TRUE((two_torsion + two_torsion).is_identity());
+
+  // Subgroup points and the identity pass.
+  crypto::Drbg rng(std::string_view("decoder-checks"));
+  const G1 p = grp->g1_random(rng);
+  EXPECT_TRUE(grp->g1_from_bytes(p.to_bytes()).in_subgroup());
+  EXPECT_TRUE(grp->g1_from_bytes_uncompressed(p.to_bytes_uncompressed()).in_subgroup());
+  EXPECT_TRUE(grp->g1_identity().in_subgroup());
+}
+
+INSTANTIATE_TEST_SUITE_P(Curves, G1DecoderChecks, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "pbc_a512" : "test_small");
+                         });
+
 }  // namespace
 }  // namespace maabe::pairing

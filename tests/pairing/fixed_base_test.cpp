@@ -139,5 +139,37 @@ TEST_F(FixedBaseTest, SubgroupMembershipChecks) {
   EXPECT_TRUE(saw_outside) << "every random point landed in the subgroup?";
 }
 
+TEST_F(FixedBaseTest, TableEntriesMatchTheirDefinition) {
+  // T[d][j] = base * (j << (w*d)), entry by entry, against plain scalar
+  // multiplication — the layout the batch-normalized build must keep.
+  const CurveCtx& curve = grp->ctx().curve();
+  const FpCtx& fq = grp->ctx().fq();
+  crypto::Drbg local(std::string_view("entries"));
+  AffinePoint pt = AffinePoint::infinity();
+  for (int i = 0; i < 100 && pt.inf; ++i) {
+    const Fp x = fq.random(local);
+    Fp y;
+    if (curve.lift_x(x, &y)) pt = {x, y, false};
+  }
+  ASSERT_FALSE(pt.inf);
+  for (int w : {1, 4, 6}) {
+    const G1FixedBase table(curve, pt, grp->order().bit_length(), w);
+    EXPECT_EQ(table.window_bits(), w);
+    EXPECT_EQ(table.digits(), (grp->order().bit_length() + w - 1) / w);
+    for (int d = 0; d < table.digits(); d += 3) {
+      for (int j = 0; j < (1 << w); ++j) {
+        const Bignum k = Bignum::shl(Bignum::from_u64(j), w * d);
+        const AffinePoint want = curve.mul(pt, k);
+        const AffinePoint& got = table.entry(d, j);
+        ASSERT_EQ(got.inf, want.inf) << w << "/" << d << "/" << j;
+        if (!got.inf) {
+          ASSERT_EQ(got.x, want.x) << w << "/" << d << "/" << j;
+          ASSERT_EQ(got.y, want.y) << w << "/" << d << "/" << j;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace maabe::pairing

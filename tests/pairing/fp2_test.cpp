@@ -127,5 +127,24 @@ TEST_F(Fp2Test, SerializationRoundTrip) {
   EXPECT_THROW(fq2.from_bytes(Bytes(fq2.byte_length() + 1)), WireError);
 }
 
+// The same identities on the paper's 8-limb field.
+TEST(Fp2Paper, RingIdentitiesAndCyclotomicSquaring) {
+  const FpCtx fq(TypeAParams::pbc_a512().q);
+  const Fp2Ctx fq2(fq);
+  crypto::Drbg rng(std::string_view("fp2-512"));
+  for (int i = 0; i < 10; ++i) {
+    const Fp2 a = fq2.random(rng), b = fq2.random(rng);
+    EXPECT_EQ(fq2.mul(a, b), fq2.mul(b, a));
+    EXPECT_EQ(fq2.sqr(a), fq2.mul(a, a));
+    EXPECT_EQ(fq2.mul(a, fq2.inv(a)), fq2.one());
+    EXPECT_EQ(fq2.from_bytes(fq2.to_bytes(a)), a);
+    const Fp2 u = fq2.mul(fq2.conj(a), fq2.inv(a));
+    ASSERT_TRUE(fq2.is_norm_one(u));
+    EXPECT_EQ(fq2.sqr_cyclotomic(u), fq2.sqr(u));
+    const Bignum k = rng.below(fq.modulus());
+    EXPECT_EQ(fq2.pow_cyclotomic(u, k), fq2.pow(u, k));
+  }
+}
+
 }  // namespace
 }  // namespace maabe::pairing

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/errors.h"
+#include "pairing/fp2.h"
 #include "pairing/params.h"
 
 namespace maabe::pairing {
@@ -105,6 +106,61 @@ TEST_F(FpTest, FromBytesRejectsBadInput) {
   EXPECT_THROW(fq.from_bytes(Bytes(fq.byte_length() + 1)), WireError);
   // The modulus itself is not a reduced residue.
   EXPECT_THROW(fq.from_bytes(fq.modulus().to_bytes_be(fq.byte_length())), WireError);
+}
+
+// ---- Fixed-width representation, at both curve sizes.
+
+TEST(FpWidth, LimbCountFollowsTheModulus) {
+  static_assert(sizeof(Fp) == 64, "an element is eight 64-bit limbs, no heap");
+  const FpCtx small(TypeAParams::test_small().q);
+  const FpCtx paper(TypeAParams::pbc_a512().q);
+  EXPECT_EQ(small.limbs(), 3);
+  EXPECT_EQ(paper.limbs(), 8);
+  EXPECT_EQ(paper.byte_length(), 64u);
+  // Limbs above the context's count stay zero through arithmetic, so
+  // plain == compares values.
+  crypto::Drbg rng(std::string_view("fp-width"));
+  const Fp a = small.random(rng), b = small.random(rng);
+  for (const Fp& v : {small.mul(a, b), small.sqr(a), small.add(a, b), small.sub(a, b),
+                      small.neg(a), small.inv(a)}) {
+    for (int j = small.limbs(); j < Fp::kMaxLimbs; ++j) EXPECT_EQ(v.l[j], 0u);
+  }
+}
+
+TEST(FpWidth, InvertingZeroThrowsMathError) {
+  for (const TypeAParams* params : {&TypeAParams::test_small(), &TypeAParams::pbc_a512()}) {
+    const FpCtx fq(params->q);
+    EXPECT_THROW(fq.inv(fq.zero()), MathError);
+    EXPECT_THROW(fq.inv_fermat(fq.zero()), MathError);
+    const Fp2Ctx fq2(fq);
+    EXPECT_THROW(fq2.inv(fq2.zero()), MathError);
+    // Nonzero values still invert; the zero check is not a false alarm.
+    EXPECT_EQ(fq.mul(fq.one(), fq.inv(fq.one())), fq.one());
+  }
+}
+
+TEST(FpWidth, RejectsUnsupportedModuliAndUnreducedInputs) {
+  EXPECT_THROW(FpCtx(Bignum::from_u64(10)), MathError);  // even
+  EXPECT_THROW(FpCtx(Bignum::from_u64(1)), MathError);
+  // 513 bits: wider than the fixed element.
+  EXPECT_THROW(FpCtx(Bignum::add(Bignum::shl(Bignum::from_u64(1), 512), Bignum::from_u64(1))),
+               MathError);
+  const FpCtx fq(TypeAParams::test_small().q);
+  EXPECT_THROW(fq.enc(fq.modulus()), MathError);
+}
+
+TEST(FpWidth, PaperFieldAxiomsAndCodec) {
+  const FpCtx fq(TypeAParams::pbc_a512().q);
+  crypto::Drbg rng(std::string_view("fp-512"));
+  for (int i = 0; i < 20; ++i) {
+    const Fp a = fq.random(rng), b = fq.random(rng), c = fq.random(rng);
+    EXPECT_EQ(fq.mul(a, fq.add(b, c)), fq.add(fq.mul(a, b), fq.mul(a, c)));
+    EXPECT_EQ(fq.sqr(a), fq.mul(a, a));
+    EXPECT_EQ(fq.mul(a, fq.inv(a)), fq.one());
+    EXPECT_EQ(fq.from_bytes(fq.to_bytes(a)), a);
+    EXPECT_EQ(fq.enc(fq.dec(a)), a);
+    EXPECT_EQ(fq.is_odd(a), fq.dec(a).is_odd());
+  }
 }
 
 }  // namespace
