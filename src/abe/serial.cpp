@@ -32,16 +32,6 @@ void put_zr(Writer& w, const Zr& v) { w.raw(v.to_bytes()); }
 
 G1 get_g1(const Group& grp, Reader& r) { return grp.g1_from_bytes(r.raw(grp.g1_size())); }
 
-// Transient revocation-protocol messages (update keys / update infos)
-// use the uncompressed x||y encoding: decoding skips the per-point
-// square root, which dominates epoch delivery over the byte-level
-// transport. Durable artefacts (keys, ciphertexts) keep the compressed
-// form whose sizes Tables II-IV count.
-void put_g1_xy(Writer& w, const G1& v) { w.raw(v.to_bytes_uncompressed()); }
-G1 get_g1_xy(const Group& grp, Reader& r) {
-  return grp.g1_from_bytes_uncompressed(r.raw(grp.g1_uncompressed_size()));
-}
-
 // Key material additionally gets an order check: decompression only
 // guarantees on-curve, not membership in the order-r subgroup. Applied
 // to the handful of points inside keys (not to per-row ciphertext
@@ -243,7 +233,7 @@ Bytes serialize(const Group& grp, const UpdateKey& v) {
   w.str(v.owner_id);
   w.u32(v.from_version);
   w.u32(v.to_version);
-  put_g1_xy(w, v.uk1);
+  put_g1(w, v.uk1);
   put_zr(w, v.uk2);
   return w.take();
 }
@@ -256,7 +246,7 @@ UpdateKey deserialize_update_key(const Group& grp, ByteView data, UkCheck check)
   v.owner_id = r.str();
   v.from_version = r.u32();
   v.to_version = r.u32();
-  v.uk1 = get_g1_xy(grp, r);
+  v.uk1 = get_g1(grp, r);
   if (check == UkCheck::kKeyMaterial && !v.uk1.in_subgroup())
     throw WireError("deserialize: point outside the order-r subgroup");
   v.uk2 = get_zr(grp, r);
@@ -276,7 +266,7 @@ Bytes serialize(const Group& grp, const UpdateInfo& v) {
   w.u32(static_cast<uint32_t>(v.ui.size()));
   for (const auto& [handle, g] : v.ui) {
     w.str(handle);
-    put_g1_xy(w, g);
+    put_g1(w, g);
   }
   return w.take();
 }
@@ -294,7 +284,7 @@ UpdateInfo deserialize_update_info(const Group& grp, ByteView data) {
   for (uint32_t i = 0; i < n; ++i) {
     const std::string handle = r.str();
     (void)parse_handle(handle);
-    const G1 g = get_g1_xy(grp, r);
+    const G1 g = get_g1(grp, r);
     if (!v.ui.emplace(handle, g).second)
       throw WireError("deserialize: duplicate attribute in UpdateInfo");
   }

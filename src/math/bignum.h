@@ -1,10 +1,14 @@
 // Fixed-capacity arbitrary-precision unsigned integers.
 //
-// The pairing substrate needs integers up to ~1100 bits (products of
-// 512-bit field elements plus headroom); Bignum stores up to kMaxLimbs
-// 64-bit limbs inline, giving cheap value semantics with no heap traffic.
-// All operations throw MathError on capacity overflow instead of silently
-// truncating.
+// Bignum is the library's setup and exchange integer: curve parameters
+// and their derived constants, Z_r exponents, hash outputs reduced mod
+// r or q, and the plain values behind serialization. Field arithmetic
+// does not run on it — the pairing layer uses the fixed-width residues
+// of pairing::FpCtx (pairing/fp.h); math::MontCtx keeps a generic
+// Bignum Montgomery reference for primality testing and benchmarks.
+// Bignum stores up to kMaxLimbs 64-bit limbs inline, giving cheap value
+// semantics with no heap traffic. All operations throw MathError on
+// capacity overflow instead of silently truncating.
 //
 // This type is deliberately unsigned: the library only ever computes in
 // residue rings, where subtraction is expressed as modular subtraction.
@@ -34,7 +38,7 @@ class Bignum {
   Bignum() = default;
 
   static Bignum from_u64(uint64_t v);
-  /// Builds from little-endian limbs (used by the Montgomery hot path).
+  /// Builds from little-endian limbs.
   static Bignum from_limbs_le(const uint64_t* limbs, int n);
   /// Parses big-endian hex, optional "0x" prefix. Throws MathError.
   static Bignum from_hex(std::string_view hex);
@@ -75,7 +79,6 @@ class Bignum {
   /// Requires a >= b; throws MathError otherwise.
   static Bignum sub(const Bignum& a, const Bignum& b);
   static Bignum mul(const Bignum& a, const Bignum& b);
-  static Bignum sqr(const Bignum& a) { return mul(a, a); }
   static Bignum shl(const Bignum& a, int bits);
   static Bignum shr(const Bignum& a, int bits);
 

@@ -1,10 +1,13 @@
-// Montgomery modular arithmetic context for a fixed odd modulus.
+// Montgomery modular arithmetic context for a fixed odd modulus, on
+// Bignum values of any width.
 //
-// The pairing substrate performs millions of modular multiplications per
-// benchmark run; CIOS Montgomery multiplication avoids the per-operation
-// long division that plain mod-mul would need. Elements handled by a
-// MontCtx are Bignums in Montgomery representation (a*R mod p, where
+// CIOS Montgomery multiplication avoids the per-operation long division
+// that plain mod-mul would need. Elements handled by a MontCtx are
+// Bignums in Montgomery representation (a*R mod p, where
 // R = 2^(64*limbs)); convert at the boundary with to_mont()/from_mont().
+// This is the generic reference: Miller-Rabin (prime.cpp) uses it, and
+// benchmarks time the pairing layer's fixed-width kernels
+// (pairing::FpCtx, same R, so the same residues) against it.
 #pragma once
 
 #include "math/bignum.h"

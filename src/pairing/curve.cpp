@@ -108,9 +108,7 @@ AffinePoint CurveCtx::mul(const AffinePoint& p, const Bignum& k) const {
 
 bool CurveCtx::lift_x(const Fp& x, Fp* y) const {
   const Fp rhs = fq_.add(fq_.mul(fq_.sqr(x), x), x);
-  if (!fq_.is_qr(rhs)) return false;
-  *y = fq_.sqrt(rhs);
-  return true;
+  return fq_.try_sqrt(rhs, y);
 }
 
 }  // namespace maabe::pairing

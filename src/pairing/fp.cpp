@@ -359,10 +359,21 @@ void FpCtx::batch_inv(Fp* xs, size_t n) const {
 }
 
 Fp FpCtx::pow(const Fp& base, const Bignum& exp) const {
+  // Left-to-right over 4-bit digits of the exponent: 4 squarings and at
+  // most one multiply by base^digit per digit.
+  constexpr int kW = 4;
+  std::array<Fp, 1 << kW> powers;
+  powers[0] = one_;
+  for (size_t j = 1; j < powers.size(); ++j) powers[j] = mul(powers[j - 1], base);
   Fp result = one_;
-  for (int i = exp.bit_length() - 1; i >= 0; --i) {
-    result = sqr(result);
-    if (exp.bit(i)) result = mul(result, base);
+  const int digits = (exp.bit_length() + kW - 1) / kW;
+  for (int d = digits - 1; d >= 0; --d) {
+    if (d != digits - 1) {
+      for (int s = 0; s < kW; ++s) result = sqr(result);
+    }
+    int digit = 0;
+    for (int b = kW - 1; b >= 0; --b) digit = (digit << 1) | (exp.bit(d * kW + b) ? 1 : 0);
+    if (digit != 0) result = mul(result, powers[digit]);
   }
   return result;
 }
@@ -379,10 +390,18 @@ bool FpCtx::is_qr(const Fp& a) const {
 }
 
 Fp FpCtx::sqrt(const Fp& a) const {
-  if (a.is_zero()) return a;
-  const Fp root = pow(a, sqrt_exp_);
-  if (sqr(root) != a) throw MathError("FpCtx::sqrt: not a quadratic residue");
+  Fp root;
+  if (!try_sqrt(a, &root)) throw MathError("FpCtx::sqrt: not a quadratic residue");
   return root;
+}
+
+bool FpCtx::try_sqrt(const Fp& a, Fp* root) const {
+  // For p = 3 (mod 4), a^((p+1)/4) squares back to a exactly when a is
+  // a residue (zero included).
+  const Fp r = pow(a, sqrt_exp_);
+  if (sqr(r) != a) return false;
+  *root = r;
+  return true;
 }
 
 Fp FpCtx::random(crypto::Drbg& rng) const { return enc(rng.below(p_big_)); }

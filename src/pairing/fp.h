@@ -83,13 +83,14 @@ class FpCtx {
   }
   /// Limb-native binary extended gcd. Throws MathError on zero.
   Fp inv(const Fp& a) const;
-  /// a^(p-2) by square-and-multiply — the Fermat alternative to inv(),
-  /// kept for the differential test and the inversion microbenchmark.
+  /// a^(p-2) through pow() — the Fermat alternative to inv(), kept for
+  /// the differential test and the inversion microbenchmark.
   Fp inv_fermat(const Fp& a) const;
   /// Montgomery's trick: replaces every nonzero xs[i] by its inverse
   /// with one inv() and 3 multiplications per element; zeros stay zero.
   void batch_inv(Fp* xs, size_t n) const;
-  /// base^exp with exp a plain (non-Montgomery) integer.
+  /// base^exp with exp a plain (non-Montgomery) integer (4-bit fixed
+  /// window).
   Fp pow(const Fp& base, const math::Bignum& exp) const;
 
   const Fp& one() const { return one_; }
@@ -106,6 +107,9 @@ class FpCtx {
   /// Square root for p = 3 (mod 4): a^((p+1)/4). Throws MathError if `a`
   /// is a non-residue.
   Fp sqrt(const Fp& a) const;
+  /// sqrt() that reports a non-residue by returning false: one
+  /// exponentiation decides residuosity and yields the root.
+  bool try_sqrt(const Fp& a, Fp* root) const;
 
   /// Uniform field element (Montgomery form).
   Fp random(crypto::Drbg& rng) const;

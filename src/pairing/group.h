@@ -91,9 +91,8 @@ class G1 {
 
   Bytes to_bytes() const;
   /// Uncompressed encoding x || y || flag (2|q|+1 bytes). Twice the size
-  /// of to_bytes() but decodable without a field square root — used for
-  /// transient protocol messages (update keys / update infos) where
-  /// decode speed matters more than the wire size counted in Table IV.
+  /// of to_bytes() but decodable without a field square root. The wire
+  /// protocol uses the compressed form throughout.
   Bytes to_bytes_uncompressed() const;
 
  private:

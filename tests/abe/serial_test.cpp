@@ -154,13 +154,23 @@ TEST_F(SerialTest, UpdateKeySubgroupCheckDependsOnReceiver) {
   const UpdateKey accepted = deserialize_update_key(*grp, b, UkCheck::kCiphertextPath);
   EXPECT_EQ(accepted.uk1, rogue);
 
-  // A point off the curve entirely is rejected on both paths.
+  // A point off the curve entirely is rejected on both paths: splice an
+  // x with no curve point over uk1's compressed encoding, which sits
+  // just before uk2.
+  Bytes off_x(grp->g1_size(), 0);
+  for (uint8_t i = 1;; ++i) {
+    off_x[off_x.size() - 2] = i;
+    try {
+      (void)grp->g1_from_bytes(off_x);
+    } catch (const WireError&) {
+      break;  // x^3 + x is a non-residue: no point has this x
+    }
+  }
   Bytes off = b;
-  // uk1's y coordinate sits just before its flag byte inside the
-  // uncompressed encoding; flipping it breaks the curve equation.
-  const size_t zr = grp->zr_size();
-  off[off.size() - zr - 2] ^= 0x5a;
+  std::copy(off_x.begin(), off_x.end(),
+            off.end() - static_cast<std::ptrdiff_t>(grp->zr_size() + grp->g1_size()));
   EXPECT_THROW(deserialize_update_key(*grp, off, UkCheck::kCiphertextPath), WireError);
+  EXPECT_THROW(deserialize_update_key(*grp, off), WireError);
 }
 
 TEST_F(SerialTest, SecretMaterialRoundTrips) {
