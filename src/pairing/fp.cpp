@@ -184,11 +184,11 @@ inline bool is_one(const uint64_t* x) {
 }
 
 template <int N>
-inline bool geq(const uint64_t* x, const uint64_t* y) {
+inline int cmp(const uint64_t* x, const uint64_t* y) {
   for (int j = N - 1; j >= 0; --j) {
-    if (x[j] != y[j]) return x[j] > y[j];
+    if (x[j] != y[j]) return x[j] > y[j] ? 1 : -1;
   }
-  return true;
+  return 0;
 }
 
 /// x -= y in place (requires x >= y).
@@ -223,20 +223,21 @@ inline void half_mod(uint64_t* x, const uint64_t* p) {
   x[N - 1] = (x[N - 1] >> 1) | (carry << 63);
 }
 
-/// Binary extended gcd for odd prime p (HAC 14.61 specialised to an odd
-/// modulus): keeps x1*a = u and x2*a = v (mod p) while driving u or v
-/// to 1. Trailing zeros of u and v come off a word at a time; x1/x2 halve
-/// mod p once per bit. a must be in [1, p).
+/// Binary extended gcd for an odd modulus p (HAC 14.61): keeps
+/// x1*a = u and x2*a = v (mod p) while driving u or v to 1. Trailing
+/// zeros of u and v come off a word at a time; x1/x2 halve mod p once per
+/// bit. a must be in [1, p). Returns false when gcd(a, p) > 1, which a
+/// prime p never produces.
 template <int N>
-void k_inv(uint64_t* r, const uint64_t* a, const uint64_t* p) {
+bool k_inv(uint64_t* r, const uint64_t* a, const uint64_t* p) {
   uint64_t u[N], v[N], x1[N] = {1}, x2[N] = {};
   for (int j = 0; j < N; ++j) {
     u[j] = a[j];
     v[j] = p[j];
   }
   while (!is_one<N>(u) && !is_one<N>(v)) {
-    // u and v are never both even (gcd is 1) and never zero inside the
-    // loop, so each inner loop terminates.
+    // u and v are never zero inside the loop (the subtraction below
+    // only runs on unequal values), so each inner loop terminates.
     while ((u[0] & 1) == 0) {
       const int s = u[0] == 0 ? 63 : __builtin_ctzll(u[0]);
       shr_in_place<N>(u, s);
@@ -247,7 +248,9 @@ void k_inv(uint64_t* r, const uint64_t* a, const uint64_t* p) {
       shr_in_place<N>(v, s);
       for (int k = 0; k < s; ++k) half_mod<N>(x2, p);
     }
-    if (geq<N>(u, v)) {
+    const int c = cmp<N>(u, v);
+    if (c == 0) return false;  // u == v != 1 divides both a and p
+    if (c > 0) {
       sub_in_place<N>(u, v);
       k_sub<N>(x1, x1, x2, p);
     } else {
@@ -257,6 +260,7 @@ void k_inv(uint64_t* r, const uint64_t* a, const uint64_t* p) {
   }
   const uint64_t* out = is_one<N>(u) ? x1 : x2;
   for (int j = 0; j < N; ++j) r[j] = out[j];
+  return true;
 }
 
 template <int N>
@@ -309,7 +313,6 @@ FpCtx::FpCtx(const Bignum& p) : p_big_(p) {
   const Bignum one = Bignum::from_u64(1);
   qr_exp_ = Bignum::shr(Bignum::sub(p, one), 1);
   sqrt_exp_ = Bignum::shr(Bignum::add(p, one), 2);
-  fermat_exp_ = Bignum::sub(p, Bignum::from_u64(2));
 }
 
 Fp FpCtx::enc(const Bignum& plain) const {
@@ -328,13 +331,9 @@ Fp FpCtx::inv(const Fp& a) const {
   // The gcd inverts the Montgomery value a*R as a plain integer, giving
   // a^-1 * R^-1; one Montgomery product with R^3 lifts that to a^-1 * R.
   Fp plain_inv;
-  k_->inv(plain_inv.l.data(), a.l.data(), p_.data());
+  if (!k_->inv(plain_inv.l.data(), a.l.data(), p_.data()))
+    throw MathError("FpCtx::inv: value shares a factor with the modulus");
   return mul(plain_inv, r3_);
-}
-
-Fp FpCtx::inv_fermat(const Fp& a) const {
-  if (a.is_zero()) throw MathError("FpCtx::inv_fermat: zero is not invertible");
-  return pow(a, fermat_exp_);
 }
 
 void FpCtx::batch_inv(Fp* xs, size_t n) const {

@@ -38,8 +38,9 @@ struct Fp {
 
 class FpCtx {
  public:
-  /// p must be an odd prime of at most 512 bits. Throws MathError
-  /// otherwise.
+  /// p must be an odd prime of at most 512 bits. Throws MathError for an
+  /// even or wider modulus; primality is the caller's (TypeAParams
+  /// validates it), and inv() throws where it fails.
   explicit FpCtx(const math::Bignum& p);
 
   const math::Bignum& modulus() const { return p_big_; }
@@ -83,9 +84,6 @@ class FpCtx {
   }
   /// Limb-native binary extended gcd. Throws MathError on zero.
   Fp inv(const Fp& a) const;
-  /// a^(p-2) through pow() — the Fermat alternative to inv(), kept for
-  /// the differential test and the inversion microbenchmark.
-  Fp inv_fermat(const Fp& a) const;
   /// Montgomery's trick: replaces every nonzero xs[i] by its inverse
   /// with one inv() and 3 multiplications per element; zeros stay zero.
   void batch_inv(Fp* xs, size_t n) const;
@@ -127,8 +125,9 @@ class FpCtx {
     void (*mul)(uint64_t* r, const uint64_t* a, const uint64_t* b, const uint64_t* p,
                 uint64_t n0);
     void (*sqr)(uint64_t* r, const uint64_t* a, const uint64_t* p, uint64_t n0);
-    /// Plain (non-Montgomery) inverse of a nonzero a < p.
-    void (*inv)(uint64_t* r, const uint64_t* a, const uint64_t* p);
+    /// Plain (non-Montgomery) inverse of a nonzero a < p; false when
+    /// none exists (p not prime).
+    bool (*inv)(uint64_t* r, const uint64_t* a, const uint64_t* p);
   };
 
  private:
@@ -143,7 +142,6 @@ class FpCtx {
   Fp r3_;   // R^3 mod p (fixes up the plain inverse of a Montgomery value)
   math::Bignum qr_exp_;    // (p-1)/2
   math::Bignum sqrt_exp_;  // (p+1)/4
-  math::Bignum fermat_exp_;  // p-2
 };
 
 }  // namespace maabe::pairing

@@ -165,12 +165,14 @@ TEST_P(FieldDiffTest, RingOpsMatchGmp) {
 
 TEST_P(FieldDiffTest, InverseMatchesGmp) {
   Mpz expect;
+  // Fermat's a^(q-2): the alternative the binary gcd was measured against.
+  const Bignum fermat = Bignum::sub(fq.modulus(), Bignum::from_u64(2));
   for (const Fp& a : operands(1000)) {
     if (a.is_zero()) continue;
     const Mpz ma = to_mpz(a);
     ASSERT_NE(mpz_invert(expect.get(), ma.get(), p.get()), 0);
     ASSERT_EQ(mpz_cmp(to_mpz(fq.inv(a)).get(), expect.get()), 0);
-    ASSERT_EQ(fq.inv_fermat(a), fq.inv(a));
+    ASSERT_EQ(fq.pow(a, fermat), fq.inv(a));
   }
 }
 
@@ -220,7 +222,6 @@ TEST_P(FieldDiffTest, FromBytesRejectsUnreducedValues) {
   EXPECT_THROW(fq.from_bytes(pb), WireError);  // p itself
   EXPECT_THROW(fq.from_bytes(Bytes(fq.byte_length(), 0xff)), WireError);
   EXPECT_THROW(fq.inv(fq.zero()), MathError);
-  EXPECT_THROW(fq.inv_fermat(fq.zero()), MathError);
 }
 
 INSTANTIATE_TEST_SUITE_P(Curves, FieldDiffTest,

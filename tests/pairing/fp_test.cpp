@@ -131,7 +131,6 @@ TEST(FpWidth, InvertingZeroThrowsMathError) {
   for (const TypeAParams* params : {&TypeAParams::test_small(), &TypeAParams::pbc_a512()}) {
     const FpCtx fq(params->q);
     EXPECT_THROW(fq.inv(fq.zero()), MathError);
-    EXPECT_THROW(fq.inv_fermat(fq.zero()), MathError);
     const Fp2Ctx fq2(fq);
     EXPECT_THROW(fq2.inv(fq2.zero()), MathError);
     // Nonzero values still invert; the zero check is not a false alarm.
@@ -147,6 +146,11 @@ TEST(FpWidth, RejectsUnsupportedModuliAndUnreducedInputs) {
                MathError);
   const FpCtx fq(TypeAParams::test_small().q);
   EXPECT_THROW(fq.enc(fq.modulus()), MathError);
+  // A composite modulus: values sharing its factor have no inverse.
+  const FpCtx composite(Bignum::from_u64(15));
+  EXPECT_THROW(composite.inv(composite.enc(Bignum::from_u64(6))), MathError);
+  EXPECT_EQ(composite.dec(composite.inv(composite.enc(Bignum::from_u64(7)))),
+            Bignum::from_u64(13));  // 7 * 13 = 91 = 1 (mod 15)
 }
 
 TEST(FpWidth, PaperFieldAxiomsAndCodec) {
