@@ -71,7 +71,10 @@ class FieldDiffTest : public ::testing::TestWithParam<FieldCase> {
     size_t count = 0;
     Bytes tmp(fq.byte_length() + 8, 0);
     mpz_export(tmp.data(), &count, 1, 1, 1, 0, v.get());
-    EXPECT_LE(count, b.size());
+    if (count > b.size()) {
+      ADD_FAILURE() << "value wider than the field";
+      return fq.zero();
+    }
     std::copy(tmp.begin(), tmp.begin() + count, b.end() - count);
     return fq.from_bytes(b);
   }
@@ -118,9 +121,9 @@ TEST_P(FieldDiffTest, CodecMatchesGmp) {
     const Mpz m = to_mpz(a);
     EXPECT_LT(mpz_cmp(m.get(), p.get()), 0);
     EXPECT_EQ(from_mpz(m), a);
-    // enc/dec agree with the byte codec.
-    EXPECT_EQ(Mpz(fq.dec(a)).get()->_mp_size, m.get()->_mp_size);
+    // dec agrees with the byte codec, and enc inverts it.
     EXPECT_EQ(mpz_cmp(Mpz(fq.dec(a)).get(), m.get()), 0);
+    EXPECT_EQ(fq.enc(fq.dec(a)), a);
   }
 }
 
