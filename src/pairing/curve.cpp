@@ -39,7 +39,7 @@ AffinePoint CurveCtx::to_affine(const JacPoint& p) const {
 std::vector<AffinePoint> CurveCtx::to_affine_batch(const std::vector<JacPoint>& ps) const {
   std::vector<Fp> zi(ps.size());
   for (size_t i = 0; i < ps.size(); ++i) zi[i] = ps[i].z;
-  fq_.batch_inv(zi.data(), zi.size());  // infinity's zero Z stays zero
+  fq_.batch_inv(zi);  // infinity's zero Z stays zero
   std::vector<AffinePoint> out(ps.size());
   for (size_t i = 0; i < ps.size(); ++i) {
     if (zi[i].is_zero()) continue;  // out[i] is already infinity

@@ -336,12 +336,12 @@ Fp FpCtx::inv(const Fp& a) const {
   return mul(plain_inv, r3_);
 }
 
-void FpCtx::batch_inv(Fp* xs, size_t n) const {
+void FpCtx::batch_inv(std::span<Fp> xs) const {
   // prefix[i] = product of the nonzero xs[0..i).
-  std::vector<Fp> prefix(n);
+  std::vector<Fp> prefix(xs.size());
   Fp acc = one_;
   bool any = false;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < xs.size(); ++i) {
     prefix[i] = acc;
     if (xs[i].is_zero()) continue;
     acc = mul(acc, xs[i]);
@@ -349,7 +349,7 @@ void FpCtx::batch_inv(Fp* xs, size_t n) const {
   }
   if (!any) return;
   Fp acc_inv = inv(acc);  // = product of all nonzero xs, inverted
-  for (size_t i = n; i-- > 0;) {
+  for (size_t i = xs.size(); i-- > 0;) {
     if (xs[i].is_zero()) continue;
     const Fp xi_inv = mul(acc_inv, prefix[i]);
     acc_inv = mul(acc_inv, xs[i]);

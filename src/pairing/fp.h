@@ -15,6 +15,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "crypto/drbg.h"
 #include "math/bignum.h"
@@ -86,7 +87,7 @@ class FpCtx {
   Fp inv(const Fp& a) const;
   /// Montgomery's trick: replaces every nonzero xs[i] by its inverse
   /// with one inv() and 3 multiplications per element; zeros stay zero.
-  void batch_inv(Fp* xs, size_t n) const;
+  void batch_inv(std::span<Fp> xs) const;
   /// base^exp with exp a plain (non-Montgomery) integer (4-bit fixed
   /// window).
   Fp pow(const Fp& base, const math::Bignum& exp) const;

@@ -183,7 +183,7 @@ TEST_P(FieldDiffTest, BatchInverseMatchesGmpAndKeepsZeros) {
   std::vector<Fp> xs = operands(200);
   xs.push_back(fq.zero());  // zeros first, in the middle and last
   const std::vector<Fp> orig = xs;
-  fq.batch_inv(xs.data(), xs.size());
+  fq.batch_inv(xs);
   Mpz expect;
   for (size_t i = 0; i < xs.size(); ++i) {
     if (orig[i].is_zero()) {
@@ -195,9 +195,9 @@ TEST_P(FieldDiffTest, BatchInverseMatchesGmpAndKeepsZeros) {
   }
   // All zeros and the empty batch are no-ops.
   std::vector<Fp> zeros(3, fq.zero());
-  fq.batch_inv(zeros.data(), zeros.size());
+  fq.batch_inv(zeros);
   for (const Fp& z : zeros) EXPECT_TRUE(z.is_zero());
-  fq.batch_inv(nullptr, 0);
+  fq.batch_inv({});
 }
 
 TEST_P(FieldDiffTest, PowMatchesGmp) {
