@@ -55,6 +55,8 @@ struct FieldCase {
   const TypeAParams& (*params)();
 };
 
+void PrintTo(const FieldCase& c, std::ostream* os) { *os << c.name; }
+
 class FieldDiffTest : public ::testing::TestWithParam<FieldCase> {
  protected:
   FieldDiffTest() : fq(GetParam().params().q), p(GetParam().params().q) {}
@@ -271,13 +273,14 @@ TEST_P(TableDiffTest, BatchNormalizedTableEqualsPerEntryTable) {
   // its cofactor-cleared image (what the engine tables), and (0, 0), a
   // point of order 2 whose rows run into infinity.
   std::vector<AffinePoint> bases;
-  while (bases.empty()) {
+  for (int i = 0; i < 200 && bases.empty(); ++i) {
     const Fp x = fq.random(rng);
     Fp y;
     if (!curve.lift_x(x, &y)) continue;
     bases.push_back({x, y, false});
     bases.push_back(curve.mul(bases[0], params.h));
   }
+  ASSERT_FALSE(bases.empty()) << "no x lifted to the curve";
   bases.push_back({fq.zero(), fq.zero(), false});
   ASSERT_TRUE(curve.is_on_curve(bases.back()));
 
