@@ -158,14 +158,16 @@ TEST_F(SerialTest, UpdateKeySubgroupCheckDependsOnReceiver) {
   // x with no curve point over uk1's compressed encoding, which sits
   // just before uk2.
   Bytes off_x(grp->g1_size(), 0);
-  for (uint8_t i = 1;; ++i) {
-    off_x[off_x.size() - 2] = i;
+  bool found = false;
+  for (int i = 1; i < 256 && !found; ++i) {
+    off_x[off_x.size() - 2] = static_cast<uint8_t>(i);
     try {
       (void)grp->g1_from_bytes(off_x);
     } catch (const WireError&) {
-      break;  // x^3 + x is a non-residue: no point has this x
+      found = true;  // x^3 + x is a non-residue: no point has this x
     }
   }
+  ASSERT_TRUE(found);
   Bytes off = b;
   std::copy(off_x.begin(), off_x.end(),
             off.end() - static_cast<std::ptrdiff_t>(grp->zr_size() + grp->g1_size()));
