@@ -320,10 +320,14 @@ Fp FpCtx::enc(const Bignum& plain) const {
   return mul(limbs_of(plain), r2_);
 }
 
-Bignum FpCtx::dec(const Fp& m) const {
-  Fp unit;
+Fp FpCtx::to_plain(const Fp& m) const {
+  Fp unit;  // the plain integer 1: a Montgomery product with it divides by R
   unit.l[0] = 1;
-  return Bignum::from_limbs_le(mul(m, unit).l.data(), n_);
+  return mul(m, unit);
+}
+
+Bignum FpCtx::dec(const Fp& m) const {
+  return Bignum::from_limbs_le(to_plain(m).l.data(), n_);
 }
 
 Fp FpCtx::inv(const Fp& a) const {
@@ -378,9 +382,7 @@ Fp FpCtx::pow(const Fp& base, const Bignum& exp) const {
 }
 
 bool FpCtx::is_odd(const Fp& a) const {
-  Fp unit;
-  unit.l[0] = 1;
-  return (mul(a, unit).l[0] & 1) != 0;
+  return (to_plain(a).l[0] & 1) != 0;
 }
 
 bool FpCtx::is_qr(const Fp& a) const {
@@ -406,9 +408,7 @@ bool FpCtx::try_sqrt(const Fp& a, Fp* root) const {
 Fp FpCtx::random(crypto::Drbg& rng) const { return enc(rng.below(p_big_)); }
 
 Bytes FpCtx::to_bytes(const Fp& mont_form) const {
-  Fp unit;
-  unit.l[0] = 1;
-  const Fp plain = mul(mont_form, unit);
+  const Fp plain = to_plain(mont_form);
   Bytes out(byte_len_);
   for (size_t k = 0; k < byte_len_; ++k)
     out[byte_len_ - 1 - k] = static_cast<uint8_t>(plain.l[k / 8] >> (8 * (k % 8)));

@@ -132,6 +132,9 @@ class FpCtx {
   };
 
  private:
+  /// The plain value's limbs (m * R^-1).
+  Fp to_plain(const Fp& m) const;
+
   const Kernels* k_ = nullptr;
   std::array<uint64_t, Fp::kMaxLimbs> p_{};
   uint64_t n0_ = 0;  // -p^{-1} mod 2^64
