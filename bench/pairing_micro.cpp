@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_common.h"
 #include "bench_json.h"
@@ -305,23 +306,35 @@ void engine_batch_report() {
     const auto t1 = Clock::now();
     return std::chrono::duration<double, std::milli>(t1 - t0).count() / reps;
   };
-  // Each round repeats the whole measurement on fresh engines (so every
-  // round pays the same cache warm-up) and each timing keeps its fastest
-  // round: one round of 5 reps lasts only a few milliseconds on the
-  // small curve, short enough for one host hiccup to swing it.
+  // Each pair repeats the whole measurement on fresh engines (so every
+  // pair pays the same cache warm-up) and times the fold right next to
+  // the kernel, so host drift hits both sides of a pair's ratio alike.
+  // The headline ratios are medians over the pairs: one round of 5 reps
+  // lasts only a few milliseconds on the small curve, short enough for
+  // one host hiccup to swing it, and a best-of per side can pair one
+  // side's lucky round with the other's unlucky one.
   constexpr int kReps = 5;
-  constexpr int kRounds = 5;
-  double serial_ms = 1e18, pool_ms = 1e18, fold_ms = 1e18;
-  for (int r = 0; r < kRounds; ++r) {
+  constexpr int kPairs = 15;
+  std::vector<double> serial_runs, pool_runs, fold_runs, kernel_ratios, pool_ratios;
+  for (int p = 0; p < kPairs; ++p) {
     serial_eng = std::make_unique<engine::CryptoEngine>(*grp, 1);
     pool_eng = std::make_unique<engine::CryptoEngine>(*grp, pool_threads);
-    serial_ms = std::min(serial_ms, time_reps(*serial_eng, kReps));
-    pool_ms = std::min(pool_ms, time_reps(*pool_eng, kReps));
-    fold_ms = std::min(fold_ms, time_fold(kReps));
+    fold_runs.push_back(time_fold(kReps));
+    serial_runs.push_back(time_reps(*serial_eng, kReps));
+    pool_runs.push_back(time_reps(*pool_eng, kReps));
+    kernel_ratios.push_back(fold_runs.back() / serial_runs.back());
+    pool_ratios.push_back(serial_runs.back() / pool_runs.back());
   }
-  const double speedup = pool_ms > 0 ? serial_ms / pool_ms : 0.0;
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double serial_ms = median(serial_runs);
+  const double pool_ms = median(pool_runs);
+  const double fold_ms = median(fold_runs);
+  const double speedup = median(pool_ratios);
   const double kernel_ms = serial_ms;  // same work, pool bypassed
-  const double kernel_speedup = kernel_ms > 0 ? fold_ms / kernel_ms : 0.0;
+  const double kernel_speedup = median(kernel_ratios);
 
   const FieldKernelTiming field = time_field_kernels();
   const double field_speedup = field.fixed_ns > 0 ? field.generic_ns / field.fixed_ns : 0.0;
@@ -329,8 +342,8 @@ void engine_batch_report() {
   std::printf("\n512-bit field multiply: fixed-width %.1f ns, generic MontCtx %.1f ns"
               "  field_kernel_speedup %.2fx\n",
               field.fixed_ns, field.generic_ns, field_speedup);
-  std::printf("\n%zu-pairing product batch (%d reps, best of %d rounds):\n", kTerms, kReps,
-              kRounds);
+  std::printf("\n%zu-pairing product batch (%d reps, median of %d interleaved pairs):\n",
+              kTerms, kReps, kPairs);
   std::printf("  pair-then-multiply  : %8.3f ms   (%zu final exps)\n", fold_ms, kTerms);
   std::printf("  kernel (1 thread)   : %8.3f ms   (1 final exp)  speedup %.2fx\n",
               kernel_ms, kernel_speedup);
@@ -345,7 +358,7 @@ void engine_batch_report() {
       .put("batch", "pairing_product")
       .put("batch_terms", kTerms)
       .put("reps", kReps)
-      .put("rounds", kRounds)
+      .put("pairs", kPairs)
       .put("hardware_concurrency",
            static_cast<uint64_t>(std::thread::hardware_concurrency()))
       .put("cpu_model", host_cpu_model())

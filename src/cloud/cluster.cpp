@@ -7,6 +7,7 @@
 #include "abe/serial.h"
 #include "common/errors.h"
 #include "crypto/sha256.h"
+#include "engine/engine.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -310,7 +311,7 @@ std::string Cluster::coordinator() const {
 
 // ----------------------------------------------------- write path --
 
-void Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
+bool Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
   Node& n = node(self);
   ensure_alive(n);
   StoredFile file = deserialize_stored_file(*grp_, stored_file_wire);
@@ -328,7 +329,7 @@ void Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
     version = ++m.version;
     m.hash = hash;
   }
-  if (config_.replication == 1) return;
+  if (config_.replication == 1) return true;
   // Fan the versioned op out to the other replicas. Unreachable
   // replicas park; the queue replays in FIFO = version order, so a
   // recovered replica converges without reordering. Any replica that
@@ -336,27 +337,37 @@ void Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
   // hand-off, drained when it rejoins.
   ReplicationOp op{file_id, version, hash, wire};
   const Bytes op_wire = encode_replication_op(op);
+  bool everywhere = true;
   for (const std::string& replica : ring_.replicas_for(file_id)) {
     if (replica == self) continue;
     replication_ops_sent_.fetch_add(1, std::memory_order_relaxed);
     ClusterMetrics::get().replication_ops.inc();
+    // Ops parked ahead replay first and may carry other writes of this
+    // file (a parked upload re-coordinated at that replica): the write
+    // is then not known to be everywhere, even if this op lands now.
+    if (durable_.pending_for(replica) > 0) everywhere = false;
     try {
       const bool delivered = durable_.send_or_park(
           self, replica, op_wire,
           [this, replica](ByteView payload) { handle_replication(replica, payload); },
           "replicate " + file_id + " v" + std::to_string(version));
-      if (!delivered) recovery_->record_hint(self, replica, file_id, version);
+      if (!delivered) {
+        everywhere = false;
+        recovery_->record_hint(self, replica, file_id, version);
+      }
     } catch (const TransportError& e) {
       // Bounded-queue backpressure: the replica's parked queue is full.
       // The write already succeeded at the coordinator; shed this
       // maintenance op (counted) and leave a hint so the rejoin drain
       // (or read-repair) heals the replica.
       if (e.kind() != TransportError::Kind::kOverloaded) throw;
+      everywhere = false;
       replication_sheds_.fetch_add(1, std::memory_order_relaxed);
       ClusterMetrics::get().replication_shed.inc();
       recovery_->record_hint(self, replica, file_id, version);
     }
   }
+  return everywhere;
 }
 
 void Cluster::apply_replication(Node& n, const ReplicationOp& op) {
@@ -540,17 +551,30 @@ struct EpochPayload {
   std::vector<abe::UpdateInfo> infos;
 };
 
+/// Splits the epoch frame serially, then decodes the UpdateInfos on the
+/// engine pool (each is a point decode with its subgroup checks). Errors
+/// match the serial decode at any thread count: a malformed UpdateInfo
+/// rethrows the first failure in index order, and a framing error past
+/// it surfaces only when every info before it decoded.
 EpochPayload decode_epoch(const pairing::Group& grp, ByteView wire) {
   Reader r(wire);
   EpochPayload out;
   out.uk =
       abe::deserialize_update_key(grp, r.var_bytes(), abe::UkCheck::kCiphertextPath);
-  const uint32_t n = r.u32();
-  out.infos.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    out.infos.push_back(abe::deserialize_update_info(grp, r.var_bytes()));
+  std::vector<Bytes> frames;
+  std::exception_ptr framing_error;
+  try {
+    const uint32_t n = r.u32();
+    for (uint32_t i = 0; i < n; ++i) frames.push_back(r.var_bytes());
+    r.expect_done();
+  } catch (const WireError&) {
+    framing_error = std::current_exception();
   }
-  r.expect_done();
+  out.infos.resize(frames.size());
+  engine::CryptoEngine::for_group(grp).parallel_for_all(frames.size(), [&](size_t i) {
+    out.infos[i] = abe::deserialize_update_info(grp, frames[i]);
+  });
+  if (framing_error) std::rethrow_exception(framing_error);
   return out;
 }
 

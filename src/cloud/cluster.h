@@ -152,8 +152,11 @@ class Cluster {
   // ---- Node-side handlers (run inside transport applies) -------------
   /// Write path at the coordinator: assign version, store locally, fan
   /// ReplicationOps to the other replicas. Throws TransportError(kLost)
-  /// when `self` is dead (the delivery never happened).
-  void handle_store(const std::string& self, ByteView stored_file_wire);
+  /// when `self` is dead (the delivery never happened). Returns true
+  /// when every other replica applied the op synchronously, with
+  /// nothing parked ahead of it; false when any replica delivery parked,
+  /// was shed, or first had to replay older parked ops (DESIGN.md §18).
+  bool handle_store(const std::string& self, ByteView stored_file_wire);
   /// Replica side of replication and read-repair: applies the op iff it
   /// is newer than the local copy, or same-version with differing bytes
   /// (corruption repair). Idempotent.

@@ -1,8 +1,11 @@
 #include "cloud/entities.h"
 
+#include <algorithm>
+
 #include "abe/serial.h"
 #include "common/errors.h"
 #include "crypto/sha256.h"
+#include "engine/engine.h"
 #include "lsss/parser.h"
 #include "telemetry/metrics.h"
 
@@ -155,9 +158,13 @@ StoredFile DataOwner::protect(const std::string& file_id,
   StoredFile file;
   file.file_id = file_id;
   file.owner_id = owner_id_;
+  // Tracked only once every component is protected, so a failure part
+  // way through leaves no half-revision behind.
+  std::vector<std::string> ids;
+  std::vector<abe::EncryptionResult> encs;
   for (const DataComponent& comp : components) {
     const std::string ct_id = slot_ct_id(file_id, comp.name);
-    if (records_.contains(ct_id))
+    if (records_.contains(ct_id) || std::find(ids.begin(), ids.end(), ct_id) != ids.end())
       throw SchemeError("DataOwner: duplicate component id '" + ct_id + "'");
 
     // KEM: random GT seed -> content key.
@@ -175,11 +182,34 @@ StoredFile DataOwner::protect(const std::string& file_id,
         crypto::seal(content_key, comp.data, slot_aad(file_id, comp.name), rng_);
     slot.key_ct = enc.ct;
 
-    records_.emplace(ct_id, enc.record);
-    ciphertexts_.emplace(ct_id, std::move(enc.ct));
+    ids.push_back(ct_id);
+    encs.push_back(std::move(enc));
     file.slots.push_back(std::move(slot));
   }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    records_.emplace(ids[i], std::move(encs[i].record));
+    ciphertexts_.emplace(ids[i], std::move(encs[i].ct));
+  }
+  revisions_[file_id].push_back(std::move(ids));
   return file;
+}
+
+size_t DataOwner::retire_superseded(const std::string& file_id,
+                                    const std::vector<std::string>& current) {
+  const auto it = revisions_.find(file_id);
+  if (it == revisions_.end()) return 0;
+  auto& revisions = it->second;
+  const auto cur = std::find(revisions.begin(), revisions.end(), current);
+  if (cur == revisions.end()) return 0;
+  size_t retired = 0;
+  for (auto r = revisions.begin(); r != cur; ++r) {
+    for (const std::string& ct_id : *r) {
+      records_.erase(ct_id);
+      retired += ciphertexts_.erase(ct_id);
+    }
+  }
+  revisions.erase(revisions.begin(), cur);
+  return retired;
 }
 
 bool DataOwner::apply_update(const UpdateKey& uk) {
@@ -197,18 +227,23 @@ bool DataOwner::apply_update(const UpdateKey& uk) {
 
 std::vector<UpdateInfo> DataOwner::update_infos(const std::string& aid,
                                                 uint32_t from_version) {
-  std::vector<UpdateInfo> out;
+  std::vector<std::pair<const std::string*, Ciphertext*>> affected;
   for (auto& [ct_id, ct] : ciphertexts_) {
     const auto ver = ct.versions.find(aid);
-    if (ver == ct.versions.end() || ver->second != from_version) continue;
-    out.push_back(abe::owner_update_info(*grp_, mk_, records_.at(ct_id), ct,
-                                         prev_attribute_pks_, attribute_pks_, aid));
-    // Track the owner's own copy forward so later revocations can build
-    // on the current ciphertext state.
-    ver->second = from_version + 1;
-    // The C / C_i components of the owner's copy also advance; rebuild
-    // them the same way the server will (cheap, local).
+    if (ver != ct.versions.end() && ver->second == from_version)
+      affected.emplace_back(&ct_id, &ct);
   }
+  // UI_x = (PK_x / PK'_x)^{beta*s} per ciphertext: independent G1
+  // exponentiations over read-only owner state, one item each.
+  std::vector<UpdateInfo> out(affected.size());
+  engine::CryptoEngine::for_group(*grp_).parallel_for_all(affected.size(), [&](size_t i) {
+    out[i] = abe::owner_update_info(*grp_, mk_, records_.at(*affected[i].first),
+                                    *affected[i].second, prev_attribute_pks_,
+                                    attribute_pks_, aid);
+  });
+  // Track the owner's own copies forward so later revocations build on
+  // the current ciphertext state.
+  for (const auto& [ct_id, ct] : affected) ct->versions.at(aid) = from_version + 1;
   return out;
 }
 

@@ -4,6 +4,7 @@
 // what to whom, with byte metering) lives in system.h.
 #pragma once
 
+#include <deque>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -119,18 +120,31 @@ class DataOwner {
   /// Splits `components` per Fig. 2: symmetric-encrypts each component
   /// under a fresh content key, CP-ABE-protects the keys. Remembers the
   /// encryption exponents (EncryptionRecord) and ciphertext copies for
-  /// later re-keying.
+  /// later re-keying, as one revision of `file_id`. Throws SchemeError
+  /// (tracking nothing) when a component id is still tracked; a retired
+  /// id is forgotten and may be used again.
   StoredFile protect(const std::string& file_id,
                      const std::vector<DataComponent>& components);
+
+  /// Stops tracking every revision of `file_id` protected before the
+  /// one whose slot ciphertext ids are `current` (records and copies
+  /// both), so no later revocation computes UpdateInfo for them.
+  /// Only safe once no storage node can still hold an older revision
+  /// (DESIGN.md §18). Returns the number of ciphertexts retired; 0 when
+  /// `current` is not a tracked revision.
+  size_t retire_superseded(const std::string& file_id,
+                           const std::vector<std::string>& current);
 
   /// Revocation phase-1 step 3: fold UK into the cached public keys.
   /// Returns false if the update does not concern this owner.
   bool apply_update(const abe::UpdateKey& uk);
 
-  /// Revocation phase 2 prep: UpdateInfo for every ciphertext of this
-  /// owner that involves `aid` at `from_version`.
-  /// `new_attribute_pks` must already be at the target version (i.e.
-  /// call apply_update first).
+  /// Revocation phase 2 prep: UpdateInfo for every tracked ciphertext
+  /// of this owner that involves `aid` at `from_version`, computed on
+  /// the engine pool. The cached attribute keys must already be at the
+  /// target version (i.e. call apply_update first). All or nothing: on
+  /// a failure (the first in ciphertext-id order is rethrown) no copy
+  /// advances its version.
   std::vector<abe::UpdateInfo> update_infos(const std::string& aid,
                                             uint32_t from_version);
 
@@ -147,6 +161,8 @@ class DataOwner {
   std::map<std::string, abe::PublicAttributeKey> prev_attribute_pks_; // one version back
   std::map<std::string, abe::EncryptionRecord> records_;   // ct_id -> s
   std::map<std::string, abe::Ciphertext> ciphertexts_;     // ct_id -> copy
+  /// file_id -> ct ids of each tracked revision, oldest first.
+  std::map<std::string, std::deque<std::vector<std::string>>> revisions_;
 };
 
 /// A data consumer: accumulates per-(owner, authority) secret keys,

@@ -2,6 +2,7 @@
 
 #include "abe/serial.h"
 #include "common/errors.h"
+#include "engine/engine.h"
 #include "telemetry/trace.h"
 
 namespace maabe::cloud {
@@ -391,12 +392,18 @@ void CloudSystem::upload(const std::string& owner_id, const std::string& file_id
   }
   DataOwner& data_owner = owner(owner_id);
   StoredFile file = data_owner.protect(file_id, components);
+  std::vector<std::string> revision;
+  for (const SealedSlot& slot : file.slots) revision.push_back(slot.key_ct.id);
   // Route to the file's coordinator; the node stores its copy and fans
-  // replication ops to the other replicas from inside the apply.
+  // replication ops to the other replicas from inside the apply. Once
+  // every replica took this revision synchronously no node can hold an
+  // older one, so the owner stops tracking those (DESIGN.md §18).
   const std::string target = cluster_.route_for(file_id);
   send_or_park(owner_name(owner_id), target, serialize(*grp_, file),
-               [this, target](ByteView payload) {
-                 cluster_.handle_store(target, payload);
+               [this, target, owner_id, file_id,
+                revision = std::move(revision)](ByteView payload) {
+                 if (cluster_.handle_store(target, payload))
+                   owners_.at(owner_id).retire_superseded(file_id, revision);
                },
                "upload " + file_id);
 }
@@ -559,36 +566,57 @@ size_t CloudSystem::distribute_revocation(
     const AttributeAuthority::RevocationBundle& bundle) {
   Consumer& revoked = user(uid);
   const uint64_t slots_before = cluster_.total_reencrypted_slots();
+  // Each owner's update key, serialized once for all of its holders.
+  std::map<std::string, Bytes> uk_wire;
+  for (const auto& [owner_id, uk] : bundle.update_keys)
+    uk_wire.emplace(owner_id, abe::serialize(*grp_, uk));
 
-  // 1) Fresh (reduced) secret keys to the revoked user — only for owners
-  //    whose data the user actually holds keys for. Undeliverable keys
-  //    park; until they land the user still fails closed, because the
-  //    server-side epoch (step 3) version-locks the old key out.
-  for (const auto& [owner_id, sk] : bundle.regenerated_keys) {
-    if (!revoked.has_key(owner_id, aid)) continue;
-    send_or_park(aa_name(aid), user_name(uid), abe::serialize(*grp_, sk),
-                 [this, uid](ByteView payload) {
-                   users_.at(uid).replace_key(
-                       abe::deserialize_user_secret_key(*grp_, payload));
-                 },
-                 "regenerated key");
-  }
-
-  // 2) Update keys to every other user holding keys from this AA.
-  //    Applied exactly once per request id — a duplicated frame must not
-  //    fold UK2 into the key twice.
-  for (auto& [other_uid, consumer] : users_) {
-    if (other_uid == uid) continue;
-    for (const auto& [owner_id, uk] : bundle.update_keys) {
-      if (!consumer.has_key(owner_id, aid)) continue;
-      send_or_park(aa_name(aid), user_name(other_uid), abe::serialize(*grp_, uk),
-                   [this, other = other_uid](ByteView payload) {
-                     users_.at(other).apply_update(
-                         abe::deserialize_update_key(*grp_, payload));
+  // Steps 1-2 form the fan-out window: consumer deliveries are sent,
+  // metered and dedup-marked as they land, while their decode-and-apply
+  // work queues per consumer and drains on the engine pool below.
+  std::exception_ptr fanout_error;
+  fanout_open_ = true;
+  try {
+    // 1) Fresh (reduced) secret keys to the revoked user — only for
+    //    owners whose data the user actually holds keys for.
+    //    Undeliverable keys park; until they land the user still fails
+    //    closed, because the server-side epoch (step 3) version-locks
+    //    the old key out.
+    for (const auto& [owner_id, sk] : bundle.regenerated_keys) {
+      if (!revoked.has_key(owner_id, aid)) continue;
+      send_or_park(aa_name(aid), user_name(uid), abe::serialize(*grp_, sk),
+                   [this, uid](ByteView payload) {
+                     deliver_to_consumer(uid, KeyDelivery::kRegeneratedKey, payload);
                    },
-                   "update key");
+                   "regenerated key");
     }
+
+    // 2) Update keys to every other user holding keys from this AA.
+    //    Applied exactly once per request id — a duplicated frame must
+    //    not fold UK2 into the key twice.
+    for (auto& [other_uid, consumer] : users_) {
+      if (other_uid == uid) continue;
+      for (const auto& [owner_id, wire] : uk_wire) {
+        if (!consumer.has_key(owner_id, aid)) continue;
+        send_or_park(aa_name(aid), user_name(other_uid), wire,
+                     [this, other = other_uid](ByteView payload) {
+                       deliver_to_consumer(other, KeyDelivery::kUpdateKey, payload);
+                     },
+                     "update key");
+      }
+    }
+  } catch (...) {
+    fanout_error = std::current_exception();
   }
+  fanout_open_ = false;
+  // Accepted deliveries are applied even when the fan-out stopped early.
+  std::exception_ptr consumer_error;
+  try {
+    drain_consumer_work();
+  } catch (...) {
+    consumer_error = std::current_exception();
+  }
+  if (fanout_error) std::rethrow_exception(fanout_error);
 
   // 3) Update keys to every owner; each owner refreshes its cached
   //    public keys, emits UpdateInfo for affected ciphertexts and ships
@@ -597,12 +625,14 @@ size_t CloudSystem::distribute_revocation(
   //    cluster is applied (in version order) before any later read. On
   //    a multi-node cluster the coordinator runs the epoch as a 2PC
   //    across every node (DESIGN.md §13); an aborted 2PC rethrows, so
-  //    the epoch message itself stays parked and replays.
+  //    the epoch message itself stays parked and replays. A consumer
+  //    that failed to apply its key does not hold the epoch back: its
+  //    error is rethrown once the owners have been reached.
   for (auto& [owner_id, data_owner] : owners_) {
-    const auto uk_it = bundle.update_keys.find(owner_id);
-    if (uk_it == bundle.update_keys.end()) continue;
+    const auto uk_it = uk_wire.find(owner_id);
+    if (uk_it == uk_wire.end()) continue;
     send_or_park(
-        aa_name(aid), owner_name(owner_id), abe::serialize(*grp_, uk_it->second),
+        aa_name(aid), owner_name(owner_id), uk_it->second,
         [this, aid, from_version, owner_id](ByteView payload) {
           DataOwner& o = owners_.at(owner_id);
           const abe::UpdateKey uk = abe::deserialize_update_key(*grp_, payload);
@@ -623,7 +653,53 @@ size_t CloudSystem::distribute_revocation(
         },
         "owner update key");
   }
+  if (consumer_error) std::rethrow_exception(consumer_error);
   return static_cast<size_t>(cluster_.total_reencrypted_slots() - slots_before);
+}
+
+void CloudSystem::deliver_to_consumer(const std::string& uid, KeyDelivery kind,
+                                      ByteView payload) {
+  if (fanout_open_) {
+    fanout_work_[uid].push_back({kind, Bytes(payload.begin(), payload.end())});
+    return;
+  }
+  apply_consumer_work(users_.at(uid), kind, payload);
+}
+
+void CloudSystem::apply_consumer_work(Consumer& consumer, KeyDelivery kind,
+                                      ByteView payload) const {
+  switch (kind) {
+    case KeyDelivery::kRegeneratedKey:
+      consumer.replace_key(abe::deserialize_user_secret_key(*grp_, payload));
+      return;
+    case KeyDelivery::kUpdateKey:
+      consumer.apply_update(abe::deserialize_update_key(*grp_, payload));
+      return;
+  }
+}
+
+void CloudSystem::drain_consumer_work() {
+  const std::map<std::string, std::vector<ConsumerWork>> work = std::move(fanout_work_);
+  fanout_work_.clear();
+  if (work.empty()) return;
+  telemetry::Span span =
+      telemetry::Tracer::global().start_span("system.apply_update_keys");
+  if (span.active()) span.attr("consumers", static_cast<uint64_t>(work.size()));
+  std::vector<std::pair<Consumer*, const std::vector<ConsumerWork>*>> queues;
+  for (const auto& [uid, queue] : work) queues.emplace_back(&users_.at(uid), &queue);
+  // One item per consumer: its deliveries apply in order on one thread,
+  // and distinct consumers share no state but the const Group.
+  engine::CryptoEngine::for_group(*grp_).parallel_for_all(queues.size(), [&](size_t i) {
+    std::exception_ptr first;
+    for (const ConsumerWork& w : *queues[i].second) {
+      try {
+        apply_consumer_work(*queues[i].first, w.kind, w.payload);
+      } catch (...) {
+        if (!first) first = std::current_exception();
+      }
+    }
+    if (first) std::rethrow_exception(first);
+  });
 }
 
 // ------------------------------------------------------ introspection --

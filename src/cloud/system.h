@@ -215,6 +215,23 @@ class CloudSystem {
                                uint32_t from_version,
                                const AttributeAuthority::RevocationBundle& bundle);
 
+  /// Key material a delivery hands to a consumer.
+  enum class KeyDelivery { kRegeneratedKey, kUpdateKey };
+  struct ConsumerWork {
+    KeyDelivery kind;
+    Bytes payload;
+  };
+  /// Receiver side of every revocation key delivery to a consumer:
+  /// decodes and applies now, or — while a revocation fan-out window is
+  /// open — queues the work for the drain, in delivery order (DESIGN.md
+  /// §18). Parked deliveries replayed inside the window queue too.
+  void deliver_to_consumer(const std::string& uid, KeyDelivery kind, ByteView payload);
+  void apply_consumer_work(Consumer& consumer, KeyDelivery kind, ByteView payload) const;
+  /// Runs the window's per-consumer queues with one engine sweep over
+  /// consumers. Every queued delivery is applied even when another
+  /// fails; the first failure in consumer order is rethrown afterwards.
+  void drain_consumer_work();
+
   /// Reliable send; throws TransportError(kExhausted) on failure.
   void send_reliable(const std::string& from, const std::string& to, ByteView payload,
                      const Apply& apply);
@@ -234,6 +251,10 @@ class CloudSystem {
   std::map<std::string, AttributeAuthority> authorities_;
   std::map<std::string, DataOwner> owners_;
   std::map<std::string, Consumer> users_;
+  /// Revocation fan-out window (distribute_revocation steps 1-2) and
+  /// the consumer work it queued, by uid.
+  bool fanout_open_ = false;
+  std::map<std::string, std::vector<ConsumerWork>> fanout_work_;
   /// Declared last: deregisters on destruction before any member the
   /// collector callback reads goes away.
   telemetry::MetricsRegistry::CollectorToken collector_;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <thread>
 
 #include "common/errors.h"
@@ -130,6 +131,19 @@ struct CryptoEngine::Pool {
   /// done, then rethrows the first captured exception, if any.
   void run(size_t job_total, const std::function<void(size_t)>& job_fn) {
     std::lock_guard<std::mutex> job_lk(job_mu);
+    run_locked(job_total, job_fn);
+  }
+
+  /// run() when no other job holds the pool; false (nothing ran) when
+  /// one does.
+  bool try_run(size_t job_total, const std::function<void(size_t)>& job_fn) {
+    std::unique_lock<std::mutex> job_lk(job_mu, std::try_to_lock);
+    if (!job_lk.owns_lock()) return false;
+    run_locked(job_total, job_fn);
+    return true;
+  }
+
+  void run_locked(size_t job_total, const std::function<void(size_t)>& job_fn) {
     {
       std::lock_guard<std::mutex> lk(mu);
       fn = &job_fn;
@@ -443,20 +457,32 @@ void CryptoEngine::set_threads(int threads) {
   if (threads_ > 1) pool_ = std::make_unique<Pool>(threads_ - 1);
 }
 
-void CryptoEngine::run_items(size_t n, const std::function<void(size_t)>& fn) {
+void CryptoEngine::run_items(size_t n, const std::function<void(size_t)>& fn,
+                             bool wait_for_pool) {
   if (n == 0) return;
-  if (pool_ == nullptr || n < 2 || tl_in_worker) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
+  if (pool_ != nullptr && n >= 2 && !tl_in_worker) {
+    // The one place trace context crosses a thread: every item runs under
+    // the caller's current span, whichever thread picks it up, so spans
+    // opened inside an item join the caller's tree at any thread count.
+    const telemetry::SpanContext ctx = telemetry::Tracer::current();
+    const std::function<void(size_t)> item = [&](size_t i) {
+      telemetry::ContextOverride scope(ctx);
+      fn(i);
+    };
+    if (wait_for_pool) {
+      pool_->run(n, item);
+      return;
+    }
+    if (pool_->try_run(n, item)) return;
   }
-  // The one place trace context crosses a thread: every item runs under
-  // the caller's current span, whichever thread picks it up, so spans
-  // opened inside an item join the caller's tree at any thread count.
-  const telemetry::SpanContext ctx = telemetry::Tracer::current();
-  pool_->run(n, [&](size_t i) {
-    telemetry::ContextOverride scope(ctx);
-    fn(i);
-  });
+  for (size_t i = 0; i < n; ++i) fn(i);
+}
+
+pairing::ParallelFor CryptoEngine::table_builder() {
+  if (pool_ == nullptr) return {};  // serial engine: the serial build
+  return [this](size_t n, const std::function<void(size_t)>& fn) {
+    run_items(n, fn, /*wait_for_pool=*/false);
+  };
 }
 
 void CryptoEngine::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
@@ -474,6 +500,27 @@ void CryptoEngine::parallel_for(size_t n, const std::function<void(size_t)>& fn)
   d.tasks = n;
   commit_stats(d);
   run_items(n, fn);
+}
+
+void CryptoEngine::parallel_for_all(size_t n, const std::function<void(size_t)>& fn) {
+  std::vector<std::exception_ptr> errors(n);
+  const auto item = [&](size_t i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  try {
+    parallel_for(n, item);
+  } catch (const OverloadError&) {
+    // Items never throw out of `item`, so this is the admission shed:
+    // nothing ran yet.
+    for (size_t i = 0; i < n; ++i) item(i);
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 std::vector<GT> CryptoEngine::pair_batch(const std::vector<PairTerm>& terms) {
@@ -642,7 +689,7 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
       if (terms[i].base.is_identity()) continue;
       LruCache::Node& node = cache_->touch(terms[i].base.to_bytes());
       if (!node.g1 && node.uses >= LruCache::kBuildThreshold) {
-        node.g1 = grp_->g1_precompute(terms[i].base);
+        node.g1 = grp_->g1_precompute(terms[i].base, table_builder());
         ++scope.delta.table_builds;
       }
       if (node.g1) ++scope.delta.table_hits;
@@ -673,7 +720,7 @@ std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
       if (terms[i].base.is_one()) continue;
       LruCache::Node& node = cache_->touch(terms[i].base.to_bytes());
       if (!node.gt && node.uses >= LruCache::kBuildThreshold) {
-        node.gt = grp_->gt_precompute(terms[i].base);
+        node.gt = grp_->gt_precompute(terms[i].base, table_builder());
         ++scope.delta.table_builds;
       }
       if (node.gt) ++scope.delta.table_hits;

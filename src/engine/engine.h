@@ -170,6 +170,12 @@ class CryptoEngine {
   /// usable after a throwing sweep. Reentrant calls from inside a
   /// worker run inline.
   void parallel_for(size_t n, const std::function<void(size_t)>& fn);
+  /// parallel_for for work that must run to completion: every item runs
+  /// even when another throws, and the first failure in INDEX order is
+  /// rethrown afterwards, so the error is the same at any thread count.
+  /// A sweep the admission window sheds runs inline on the caller
+  /// instead of being dropped (its items are already-accepted work).
+  void parallel_for_all(size_t n, const std::function<void(size_t)>& fn);
 
   // ---- Accounting --------------------------------------------------
   /// Coherent snapshot: every batch commits its counters, wall time and
@@ -196,7 +202,14 @@ class CryptoEngine {
   void ensure_pool();
   /// parallel_for's dispatch without the task accounting — batch APIs
   /// fold their item count into the batch's atomic stat commit instead.
-  void run_items(size_t n, const std::function<void(size_t)>& fn);
+  /// `wait_for_pool = false` takes the pool only if no other batch holds
+  /// it, else runs inline: work done under the LRU lock (table builds)
+  /// must not wait for a batch whose items may wait on that lock.
+  void run_items(size_t n, const std::function<void(size_t)>& fn,
+                 bool wait_for_pool = true);
+  /// Window-table builds spread over run_items without waiting for the
+  /// pool; empty (the serial build) when the engine has no pool.
+  pairing::ParallelFor table_builder();
   /// Applies a delta to the per-engine seqlock store and mirrors it
   /// into the global metrics registry.
   void commit_stats(const EngineStats& delta);

@@ -11,9 +11,11 @@
 // callers; lookups are value-dependent (NOT constant-time, like the rest
 // of this research library). G1 tables are built in Jacobian
 // coordinates and normalized to affine in two batches (digit bases,
-// then entries), one field inversion each.
+// then entries), one field inversion each; a parallel build normalizes
+// its entries per group of rows instead.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "pairing/curve.h"
@@ -21,13 +23,19 @@
 
 namespace maabe::pairing {
 
+/// Runs fn(0..n-1) in any order, possibly on several threads (the
+/// engine passes its pool); an empty one runs the items inline. Table
+/// entries are canonical, so they do not depend on the schedule.
+using ParallelFor = std::function<void(size_t n, const std::function<void(size_t)>& fn)>;
+
 /// Window table for a fixed point of E(F_q).
 class G1FixedBase {
  public:
   /// base must not be infinity; `exp_bits` is the maximum exponent
-  /// length (the group order's bit length).
+  /// length (the group order's bit length). With `parallel`, the rows
+  /// are built in groups, each normalized with its own inversion.
   G1FixedBase(const CurveCtx& curve, const AffinePoint& base, int exp_bits,
-              int window_bits = 4);
+              int window_bits = 4, const ParallelFor& parallel = {});
 
   /// base^k (written multiplicatively) for 0 <= k < 2^exp_bits.
   AffinePoint pow(const math::Bignum& k) const;
@@ -50,7 +58,10 @@ class G1FixedBase {
 /// Window table for a fixed element of the order-r subgroup of F_{q^2}.
 class GtFixedBase {
  public:
-  GtFixedBase(const Fp2Ctx& fq2, const Fp2& base, int exp_bits, int window_bits = 4);
+  /// With `parallel`, the rows are filled concurrently once the digit
+  /// bases are known.
+  GtFixedBase(const Fp2Ctx& fq2, const Fp2& base, int exp_bits, int window_bits = 4,
+              const ParallelFor& parallel = {});
 
   Fp2 pow(const math::Bignum& k) const;
 

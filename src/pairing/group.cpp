@@ -300,10 +300,11 @@ GT Group::egg_pow(const Zr& k) const {
   return GT(this, egg_table_->pow(k.value()));
 }
 
-std::unique_ptr<G1FixedBase> Group::g1_precompute(const G1& base) const {
+std::unique_ptr<G1FixedBase> Group::g1_precompute(const G1& base,
+                                                  const ParallelFor& parallel) const {
   require_same_group(this, base.g_, "g1_precompute");
   return std::make_unique<G1FixedBase>(ctx_.curve(), base.pt_,
-                                       params().r.bit_length());
+                                       params().r.bit_length(), 4, parallel);
 }
 
 G1 Group::g1_pow_with(const G1FixedBase& table, const Zr& k) const {
@@ -314,10 +315,11 @@ G1 Group::g1_pow_with(const G1FixedBase& table, const Zr& k) const {
   return G1(this, table.pow(k.value()));
 }
 
-std::unique_ptr<GtFixedBase> Group::gt_precompute(const GT& base) const {
+std::unique_ptr<GtFixedBase> Group::gt_precompute(const GT& base,
+                                                  const ParallelFor& parallel) const {
   require_same_group(this, base.g_, "gt_precompute");
   return std::make_unique<GtFixedBase>(ctx_.fq2(), base.v_,
-                                       params().r.bit_length());
+                                       params().r.bit_length(), 4, parallel);
 }
 
 GT Group::gt_pow_with(const GtFixedBase& table, const Zr& k) const {

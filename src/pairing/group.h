@@ -257,10 +257,13 @@ class Group {
   // Window tables for *variable* bases, used by engine::CryptoEngine's
   // multi-exponentiation cache for repeatedly-seen bases (PK_UID,
   // PK_{x,AID}, C', ...). The table references this Group's contexts and
-  // must not outlive it. `base` must not be the identity.
-  std::unique_ptr<G1FixedBase> g1_precompute(const G1& base) const;
+  // must not outlive it. `base` must not be the identity. `parallel`
+  // spreads the table build (fixed_base.h); the table is the same.
+  std::unique_ptr<G1FixedBase> g1_precompute(const G1& base,
+                                             const ParallelFor& parallel = {}) const;
   G1 g1_pow_with(const G1FixedBase& table, const Zr& k) const;
-  std::unique_ptr<GtFixedBase> gt_precompute(const GT& base) const;
+  std::unique_ptr<GtFixedBase> gt_precompute(const GT& base,
+                                             const ParallelFor& parallel = {}) const;
   GT gt_pow_with(const GtFixedBase& table, const Zr& k) const;
 
   /// Process-unique id of this Group instance (monotonic counter).

@@ -135,6 +135,38 @@ TEST_F(EntitiesTest, OwnerProtectAndConsumerOpen) {
   EXPECT_EQ(string_of(view.at("c2")), "payload-2");
 }
 
+TEST_F(EntitiesTest, OwnerRetiresSupersededRevisions) {
+  aa.define_attribute("Doctor");
+  owner.learn_authority_key(aa.public_key());
+  for (const auto& [h, pk] : aa.attribute_public_keys()) owner.learn_attribute_key(pk);
+
+  (void)owner.protect("f", {{"r1", bytes_of("1"), "Doctor@Med"}});
+  (void)owner.protect("f", {{"r2", bytes_of("2"), "Doctor@Med"}});
+  (void)owner.protect("g", {{"r1", bytes_of("g"), "Doctor@Med"}});
+  EXPECT_EQ(owner.tracked_ciphertexts(), 3u);
+  // A failed protect tracks nothing, not even the components before the
+  // failing one.
+  EXPECT_THROW(owner.protect("f", {{"r3", bytes_of("3"), "Doctor@Med"},
+                                   {"r4", bytes_of("4"), "Nurse@Med"}}),
+               SchemeError);
+  EXPECT_EQ(owner.tracked_ciphertexts(), 3u);
+
+  // Unknown revisions retire nothing.
+  EXPECT_EQ(owner.retire_superseded("f", {"f/r9"}), 0u);
+  EXPECT_EQ(owner.retire_superseded("h", {"h/r1"}), 0u);
+  // Retiring up to r2 forgets r1 of f only.
+  EXPECT_EQ(owner.retire_superseded("f", {"f/r2"}), 1u);
+  EXPECT_EQ(owner.tracked_ciphertexts(), 2u);
+  EXPECT_EQ(owner.retire_superseded("f", {"f/r2"}), 0u);
+
+  // A still-tracked id is rejected; a retired one may be used again.
+  EXPECT_THROW(owner.protect("f", {{"r2", bytes_of("z"), "Doctor@Med"}}), SchemeError);
+  (void)owner.protect("f", {{"r1", bytes_of("again"), "Doctor@Med"}});
+  EXPECT_EQ(owner.tracked_ciphertexts(), 3u);
+  EXPECT_EQ(owner.retire_superseded("f", {"f/r1"}), 1u);
+  EXPECT_EQ(owner.tracked_ciphertexts(), 2u);
+}
+
 TEST_F(EntitiesTest, ConsumerRejectsForeignKeys) {
   const auto& alice = ca.register_user("alice");
   const auto& bob = ca.register_user("bob");

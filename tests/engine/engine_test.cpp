@@ -317,6 +317,77 @@ TEST_F(EngineTest, ForGroupReturnsSameEnginePerGroup) {
 // commit atomically per batch (seqlock), so under a concurrent batch
 // workload every snapshot satisfies the exact per-batch arithmetic —
 // a torn read (e.g. g1_exps updated but batches not yet) breaks it.
+TEST_F(EngineTest, ParallelForAllRunsEveryItemAndRethrowsTheFirstInIndexOrder) {
+  for (const int threads : {1, 4}) {
+    CryptoEngine eng(*grp, threads);
+    constexpr size_t kN = 64;
+    std::vector<std::atomic<int>> ran(kN);
+    for (auto& r : ran) r.store(0);
+    std::string error;
+    try {
+      eng.parallel_for_all(kN, [&](size_t i) {
+        ran[i].fetch_add(1);
+        if (i == 9 || i == 40) throw MathError("item " + std::to_string(i));
+      });
+    } catch (const MathError& e) {
+      error = e.what();
+    }
+    EXPECT_EQ(error, "item 9") << threads << " threads";
+    for (size_t i = 0; i < kN; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
+
+    // A sweep the admission window sheds runs inline instead.
+    eng.set_admission_limit(4);
+    std::atomic<size_t> count{0};
+    eng.parallel_for_all(16, [&](size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 16u);
+    EXPECT_EQ(eng.shed_total(), 1u);
+  }
+}
+
+// Table builds run on the pool while holding the LRU lock; a batch
+// whose items take that lock (pairings through the precomp cache) may
+// hold the pool at the same time. Builds then fall back to inline
+// instead of deadlocking, and every result stays exact.
+TEST_F(EngineTest, TableBuildsWhileThePoolIsBusyStayExact) {
+  CryptoEngine eng(*grp, 4);
+  const G1 a = grp->g1_random(rng);
+  std::vector<G1> bs;
+  for (int i = 0; i < 8; ++i) bs.push_back(grp->g1_random(rng));
+  std::vector<GT> want;
+  for (const G1& b : bs) want.push_back(grp->pair(a, b));
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> pair_ok{true};
+  std::thread pairer([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::vector<GT> got(bs.size());
+      eng.parallel_for(bs.size(), [&](size_t i) { got[i] = eng.pair(a, bs[i]); });
+      if (got != want) pair_ok.store(false);
+    }
+  });
+  for (int round = 0; round < 12; ++round) {
+    // A fresh base per round, submitted past the build threshold.
+    const G1 base = grp->g1_random(rng);
+    const GT gt_base = grp->pair(base, a);
+    std::vector<CryptoEngine::G1Term> g1_terms;
+    std::vector<CryptoEngine::GtTerm> gt_terms;
+    for (int i = 0; i < 6; ++i) {
+      g1_terms.push_back({base, grp->zr_random(rng)});
+      gt_terms.push_back({gt_base, grp->zr_random(rng)});
+    }
+    const std::vector<G1> g1 = eng.multi_exp_g1(g1_terms);
+    const std::vector<GT> gt = eng.multi_exp_gt(gt_terms);
+    for (size_t i = 0; i < g1_terms.size(); ++i) {
+      ASSERT_EQ(g1[i], g1_terms[i].base.mul(g1_terms[i].exp)) << round << "/" << i;
+      ASSERT_EQ(gt[i], gt_terms[i].base.pow(gt_terms[i].exp)) << round << "/" << i;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  pairer.join();
+  EXPECT_TRUE(pair_ok.load());
+  EXPECT_GE(eng.stats().table_builds, 24u);
+}
+
 TEST_F(EngineTest, StatsSnapshotsNeverTearUnderConcurrentBatches) {
   CryptoEngine eng(*grp, 2);
   constexpr size_t kBatchSize = 3;

@@ -10,6 +10,12 @@ namespace {
 
 using math::Bignum;
 
+/// A ParallelFor that runs the items inline in reverse order: table
+/// builds must not depend on how their items are scheduled.
+const ParallelFor kReversed = [](size_t n, const std::function<void(size_t)>& fn) {
+  for (size_t i = n; i-- > 0;) fn(i);
+};
+
 class FixedBaseTest : public ::testing::Test {
  protected:
   FixedBaseTest() : grp(Group::test_small()) {}
@@ -87,11 +93,20 @@ TEST_F(FixedBaseTest, VariousWindowSizesAgree) {
   const Fp2 base2 = fq2.random(local);
   const Fp2 expect2 = fq2.pow(base2, k);
 
+  // Fp2::random is (almost surely) off the norm-1 subgroup; conj(x)/x
+  // is on it — the two GtFixedBase squaring paths.
+  const Fp2 gt_base = fq2.mul(fq2.conj(base2), fq2.inv(base2));  // norm 1
+  ASSERT_TRUE(fq2.is_norm_one(gt_base));
+  const Fp2 expect_gt = fq2.pow(gt_base, k);
   for (int w : {1, 2, 3, 5, 8}) {
-    const G1FixedBase t1(curve, pt, grp->order().bit_length(), w);
-    EXPECT_TRUE(curve.eq(t1.pow(k), expect_pt)) << "window " << w;
-    const GtFixedBase t2(fq2, base2, grp->order().bit_length(), w);
-    EXPECT_EQ(t2.pow(k), expect2) << "window " << w;
+    for (const ParallelFor& sched : {ParallelFor(), kReversed}) {
+      const G1FixedBase t1(curve, pt, grp->order().bit_length(), w, sched);
+      EXPECT_TRUE(curve.eq(t1.pow(k), expect_pt)) << "window " << w;
+      const GtFixedBase t2(fq2, base2, grp->order().bit_length(), w, sched);
+      EXPECT_EQ(t2.pow(k), expect2) << "window " << w;
+      const GtFixedBase t3(fq2, gt_base, grp->order().bit_length(), w, sched);
+      EXPECT_EQ(t3.pow(k), expect_gt) << "window " << w;
+    }
   }
 }
 
@@ -153,18 +168,20 @@ TEST_F(FixedBaseTest, TableEntriesMatchTheirDefinition) {
   }
   ASSERT_FALSE(pt.inf);
   for (int w : {1, 4, 6}) {
-    const G1FixedBase table(curve, pt, grp->order().bit_length(), w);
-    EXPECT_EQ(table.window_bits(), w);
-    EXPECT_EQ(table.digits(), (grp->order().bit_length() + w - 1) / w);
-    for (int d = 0; d < table.digits(); d += 3) {
-      for (int j = 0; j < (1 << w); ++j) {
-        const Bignum k = Bignum::shl(Bignum::from_u64(j), w * d);
-        const AffinePoint want = curve.mul(pt, k);
-        const AffinePoint& got = table.entry(d, j);
-        ASSERT_EQ(got.inf, want.inf) << w << "/" << d << "/" << j;
-        if (!got.inf) {
-          ASSERT_EQ(got.x, want.x) << w << "/" << d << "/" << j;
-          ASSERT_EQ(got.y, want.y) << w << "/" << d << "/" << j;
+    for (const ParallelFor& sched : {ParallelFor(), kReversed}) {
+      const G1FixedBase table(curve, pt, grp->order().bit_length(), w, sched);
+      EXPECT_EQ(table.window_bits(), w);
+      EXPECT_EQ(table.digits(), (grp->order().bit_length() + w - 1) / w);
+      for (int d = 0; d < table.digits(); d += 3) {
+        for (int j = 0; j < (1 << w); ++j) {
+          const Bignum k = Bignum::shl(Bignum::from_u64(j), w * d);
+          const AffinePoint want = curve.mul(pt, k);
+          const AffinePoint& got = table.entry(d, j);
+          ASSERT_EQ(got.inf, want.inf) << w << "/" << d << "/" << j;
+          if (!got.inf) {
+            ASSERT_EQ(got.x, want.x) << w << "/" << d << "/" << j;
+            ASSERT_EQ(got.y, want.y) << w << "/" << d << "/" << j;
+          }
         }
       }
     }
