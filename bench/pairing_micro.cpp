@@ -143,9 +143,10 @@ void BM_FieldInverse(benchmark::State& state) {
   }
 }
 
-// The fixed-width field layer the pairing stack runs on (pairing::FpCtx):
-// CIOS multiply, SOS square, limb-native binary-gcd inversion, and the
-// Fermat inversion (a^(q-2) through pow) it was chosen over.
+// The fixed-width field layer the pairing stack runs on (pairing::FpCtx),
+// on the kernel set it picks for this CPU: CIOS multiply, square (the
+// same multiply), limb-native binary-gcd inversion, and the Fermat
+// inversion (a^(q-2) through pow) it was chosen over.
 void BM_FieldMul_Fixed(benchmark::State& state) {
   auto grp = bench_group();
   const pairing::FpCtx& fq = grp->ctx().fq();
@@ -209,50 +210,70 @@ BENCHMARK(BM_FieldInverse_Fixed)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
 BENCHMARK(BM_FieldInverse_Fermat)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
 BENCHMARK(BM_G1_TableBuild)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
 
-/// Nanoseconds per call of the fixed-width FpCtx::mul and of the retained
-/// generic MontCtx::mul at the paper's 512-bit field, timed in this
-/// process: rounds alternate between the two kernels and each keeps its
-/// fastest round, so host speed drifts cancel in the ratio.
+/// Nanoseconds per call of the fixed-width FpCtx::mul on each kernel set
+/// and of the retained generic MontCtx::mul at the paper's 512-bit field,
+/// timed in this process: every round times each kernel back to back, so
+/// host speed drifts hit all of them alike.
 struct FieldKernelTiming {
-  double fixed_ns = 0;
-  double generic_ns = 0;
+  const char* kernel = "";  // the set FpCtx picks on this CPU
+  double fixed_ns = 0;      // that set, fastest round
+  double generic_ns = 0;    // MontCtx, fastest round
+  double portable_ns = 0;   // portable set, median round
+  double adx_ns = 0;        // adx set, median round (0 without ADX/BMI2)
+  double adx_speedup = 0;   // median over rounds of portable / adx
 };
 
 FieldKernelTiming time_field_kernels() {
   using Clock = std::chrono::steady_clock;
+  using pairing::FpCtx;
   const math::Bignum& q = pairing::TypeAParams::pbc_a512().q;
-  const pairing::FpCtx fq(q);
+  const FpCtx picked(q);  // adx where the CPU has it
+  const FpCtx portable(q, FpCtx::KernelSet::kPortable);
+  const bool has_adx = FpCtx::has_kernel_set(FpCtx::KernelSet::kAdx, picked.limbs());
   const math::MontCtx mont(q);
   crypto::Drbg rng(std::string_view("field-kernels"));
   const math::Bignum a0 = rng.below(q), b0 = rng.below(q);
-  pairing::Fp af = fq.enc(a0);
-  const pairing::Fp bf = fq.enc(b0);
+  pairing::Fp ap = portable.enc(a0), ax = ap;  // portable and adx chains
+  const pairing::Fp bf = portable.enc(b0);
   math::Bignum ag = mont.to_mont(a0);
   const math::Bignum bg = mont.to_mont(b0);
 
   constexpr int kMuls = 20000;
-  constexpr int kRounds = 9;
-  const auto ns_per = [](Clock::time_point t0, Clock::time_point t1) {
+  constexpr int kRounds = 15;
+  const auto time_chain = [](auto&& step) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < kMuls; ++i) step();
+    const auto t1 = Clock::now();
     return std::chrono::duration<double, std::nano>(t1 - t0).count() / kMuls;
   };
-  FieldKernelTiming best{1e18, 1e18};
+  std::vector<double> portable_runs, adx_runs, ratios;
+  FieldKernelTiming out;
+  out.generic_ns = 1e18;
   for (int r = 0; r < kRounds; ++r) {
-    auto t0 = Clock::now();
-    for (int i = 0; i < kMuls; ++i) af = fq.mul(af, bf);
-    auto t1 = Clock::now();
-    best.fixed_ns = std::min(best.fixed_ns, ns_per(t0, t1));
-    t0 = Clock::now();
-    for (int i = 0; i < kMuls; ++i) ag = mont.mul(ag, bg);
-    t1 = Clock::now();
-    best.generic_ns = std::min(best.generic_ns, ns_per(t0, t1));
+    portable_runs.push_back(time_chain([&] { ap = portable.mul(ap, bf); }));
+    if (has_adx) {
+      adx_runs.push_back(time_chain([&] { ax = picked.mul(ax, bf); }));
+      ratios.push_back(portable_runs.back() / adx_runs.back());
+    }
+    out.generic_ns = std::min(out.generic_ns, time_chain([&] { ag = mont.mul(ag, bg); }));
   }
-  // Same chain of products in both representations: a mismatch means the
-  // timing compared different work.
-  if (fq.dec(af) != mont.from_mont(ag)) {
+  // Same chain of products in every representation: a mismatch means the
+  // timing compared different work (or a kernel set is wrong).
+  if (portable.dec(ap) != mont.from_mont(ag) || (has_adx && picked.dec(ax) != portable.dec(ap))) {
     std::fprintf(stderr, "field kernels disagree\n");
     std::exit(1);
   }
-  return best;
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v.empty() ? 0.0 : v[v.size() / 2];
+  };
+  out.kernel = picked.kernel_name();
+  out.portable_ns = median(portable_runs);
+  out.adx_ns = median(adx_runs);
+  out.adx_speedup = median(ratios);
+  const std::vector<double>& picked_runs = has_adx ? adx_runs : portable_runs;
+  out.fixed_ns = *std::min_element(picked_runs.begin(), picked_runs.end());
+  return out;
 }
 
 std::string host_cpu_model() {
@@ -339,9 +360,12 @@ void engine_batch_report() {
   const FieldKernelTiming field = time_field_kernels();
   const double field_speedup = field.fixed_ns > 0 ? field.generic_ns / field.fixed_ns : 0.0;
 
-  std::printf("\n512-bit field multiply: fixed-width %.1f ns, generic MontCtx %.1f ns"
-              "  field_kernel_speedup %.2fx\n",
-              field.fixed_ns, field.generic_ns, field_speedup);
+  std::printf("\n512-bit field multiply (%s kernels): fixed-width %.1f ns, generic MontCtx"
+              " %.1f ns  field_kernel_speedup %.2fx\n",
+              field.kernel, field.fixed_ns, field.generic_ns, field_speedup);
+  if (field.adx_ns > 0)
+    std::printf("  portable %.1f ns, adx %.1f ns (median rounds)  field_adx_speedup %.2fx\n",
+                field.portable_ns, field.adx_ns, field.adx_speedup);
   std::printf("\n%zu-pairing product batch (%d reps, median of %d interleaved pairs):\n",
               kTerms, kReps, kPairs);
   std::printf("  pair-then-multiply  : %8.3f ms   (%zu final exps)\n", fold_ms, kTerms);
@@ -362,6 +386,7 @@ void engine_batch_report() {
       .put("hardware_concurrency",
            static_cast<uint64_t>(std::thread::hardware_concurrency()))
       .put("cpu_model", host_cpu_model())
+      .put("field_kernel", field.kernel)
       .put("engine_threads", engine::CryptoEngine::default_threads())
       .put("field_mul_fixed_ns", field.fixed_ns)
       .put("field_mul_generic_ns", field.generic_ns)
@@ -376,6 +401,11 @@ void engine_batch_report() {
       .put("kernel_speedup", kernel_speedup)
       .put("serial_stats", stats_json(serial_eng->stats()))
       .put("pool_stats", stats_json(pool_eng->stats()));
+  if (field.adx_ns > 0) {
+    root.put("field_mul_portable_ns", field.portable_ns)
+        .put("field_mul_adx_ns", field.adx_ns)
+        .put("field_adx_speedup", field.adx_speedup);
+  }
   write_bench_json("pairing_micro", root);
 }
 

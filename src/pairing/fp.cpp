@@ -4,6 +4,181 @@
 
 #include "common/errors.h"
 
+// ---------------------------------------------------------------------
+// x86-64 Montgomery multiply for 8 limbs (the paper's 512-bit field),
+// selected at run time when the CPU has ADX and BMI2 (DESIGN.md §17).
+//
+//   void maabe_fp_mul8_adx(uint64_t* r, const uint64_t* a,
+//                          const uint64_t* b, const uint64_t* p,
+//                          uint64_t n0);
+//
+// Same contract and same canonical result as k_mul<8>. Straight-line
+// CIOS: round i adds b[i]*a to the running value T, then adds m*p with
+// m = T[0]*n0 and drops the zeroed low word. Each pass of eight mulx
+// products feeds two independent carry chains, adcx for the low words
+// (CF) and adox for the high words (OF), so the adds never wait on one
+// flag. T lives in a window of ten registers that rotates by one per
+// round instead of being shifted. a, p are addressed through rsi, rcx;
+// rax/rbx take the mulx halves; n0, b and r sit on the stack. T stays
+// below 2p, so its top word is 0 or 1 and one conditional subtraction
+// (cmovc on the borrow) finishes. Every input is read before r is
+// written, so r may alias a or b. Defined in this translation unit so
+// the object keeps the compiler's .note.GNU-stack (no executable stack)
+// and the build needs no assembler language.
+// ---------------------------------------------------------------------
+#if defined(__x86_64__) && defined(__ELF__)
+#define MAABE_FP_ADX 1
+
+extern "C" void maabe_fp_mul8_adx(uint64_t* r, const uint64_t* a, const uint64_t* b,
+                                  const uint64_t* p, uint64_t n0);
+
+asm(R"(
+    .pushsection .text
+    .p2align 5
+    .type maabe_fp_mul8_adx, @function
+
+# lo += low(rdx * src[off]) on CF, hi += high(rdx * src[off]) on OF.
+.macro fp8_mac src, off, lo, hi
+    mulx \off(\src), %rax, %rbx
+    adcx %rax, \lo
+    adox %rbx, \hi
+.endm
+
+# t0..t8 += rdx * src[0..7]. Flags must be clear on entry; leaves a
+# carry into t8 pending on CF and one out of t8 pending on OF.
+.macro fp8_madd src, t0, t1, t2, t3, t4, t5, t6, t7, t8
+    fp8_mac \src, 0, \t0, \t1
+    fp8_mac \src, 8, \t1, \t2
+    fp8_mac \src, 16, \t2, \t3
+    fp8_mac \src, 24, \t3, \t4
+    fp8_mac \src, 32, \t4, \t5
+    fp8_mac \src, 40, \t5, \t6
+    fp8_mac \src, 48, \t6, \t7
+    fp8_mac \src, 56, \t7, \t8
+.endm
+
+# T = (T + m*p) / 2^64 with m = t0 * n0: T spans t0..t9 on entry and
+# t1..t9 on exit, below 2p both times, so t9 is 0 or 1.
+.macro fp8_reduce t0, t1, t2, t3, t4, t5, t6, t7, t8, t9
+    mov \t0, %rdx
+    imul (%rsp), %rdx
+    xor %eax, %eax
+    fp8_madd %rcx, \t0, \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8
+    mov $0, %eax
+    adcx %rax, \t8
+    adox %rax, \t9
+    adcx %rax, \t9
+.endm
+
+# Round 0: T = b[0] * a (rdx = b[0]) on one carry chain, then reduce.
+.macro fp8_first t0, t1, t2, t3, t4, t5, t6, t7, t8, t9
+    mulx (%rsi), \t0, \t1
+    mulx 8(%rsi), %rax, \t2
+    add %rax, \t1
+    mulx 16(%rsi), %rax, \t3
+    adc %rax, \t2
+    mulx 24(%rsi), %rax, \t4
+    adc %rax, \t3
+    mulx 32(%rsi), %rax, \t5
+    adc %rax, \t4
+    mulx 40(%rsi), %rax, \t6
+    adc %rax, \t5
+    mulx 48(%rsi), %rax, \t7
+    adc %rax, \t6
+    mulx 56(%rsi), %rax, \t8
+    adc %rax, \t7
+    adc $0, \t8
+    xor \t9, \t9
+    fp8_reduce \t0, \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8, \t9
+.endm
+
+# Round i > 0 (off = 8i): T += b[i] * a, then reduce. T spans t0..t8
+# on entry; both pending carries land in t9.
+.macro fp8_round off, t0, t1, t2, t3, t4, t5, t6, t7, t8, t9
+    mov 8(%rsp), %rdx
+    mov \off(%rdx), %rdx
+    xor \t9, \t9
+    fp8_madd %rsi, \t0, \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8
+    adcx \t9, \t8
+    adox \t9, \t9
+    adc $0, \t9
+    fp8_reduce \t0, \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8, \t9
+.endm
+
+# r = T - p if T >= p, else T, for T = top:u7..u0 < 2p. T goes to r
+# first; the borrow of T - p then selects it back with cmovc.
+.macro fp8_final u0, u1, u2, u3, u4, u5, u6, u7, top
+    mov 16(%rsp), %rdx
+    mov \u0, (%rdx)
+    mov \u1, 8(%rdx)
+    mov \u2, 16(%rdx)
+    mov \u3, 24(%rdx)
+    mov \u4, 32(%rdx)
+    mov \u5, 40(%rdx)
+    mov \u6, 48(%rdx)
+    mov \u7, 56(%rdx)
+    sub (%rcx), \u0
+    sbb 8(%rcx), \u1
+    sbb 16(%rcx), \u2
+    sbb 24(%rcx), \u3
+    sbb 32(%rcx), \u4
+    sbb 40(%rcx), \u5
+    sbb 48(%rcx), \u6
+    sbb 56(%rcx), \u7
+    sbb $0, \top
+    cmovc (%rdx), \u0
+    cmovc 8(%rdx), \u1
+    cmovc 16(%rdx), \u2
+    cmovc 24(%rdx), \u3
+    cmovc 32(%rdx), \u4
+    cmovc 40(%rdx), \u5
+    cmovc 48(%rdx), \u6
+    cmovc 56(%rdx), \u7
+    mov \u0, (%rdx)
+    mov \u1, 8(%rdx)
+    mov \u2, 16(%rdx)
+    mov \u3, 24(%rdx)
+    mov \u4, 32(%rdx)
+    mov \u5, 40(%rdx)
+    mov \u6, 48(%rdx)
+    mov \u7, 56(%rdx)
+.endm
+
+maabe_fp_mul8_adx:
+    endbr64
+    push %rbx
+    push %rbp
+    push %r12
+    push %r13
+    push %r14
+    push %r15
+    push %rdi                   # 16(%rsp) = r
+    push %rdx                   # 8(%rsp) = b
+    push %r8                    # (%rsp) = n0
+    mov (%rdx), %rdx
+    # The window rdi, rbp, r8..r15 rotates one register per round.
+    fp8_first %rdi, %rbp, %r8, %r9, %r10, %r11, %r12, %r13, %r14, %r15
+    fp8_round 8, %rbp, %r8, %r9, %r10, %r11, %r12, %r13, %r14, %r15, %rdi
+    fp8_round 16, %r8, %r9, %r10, %r11, %r12, %r13, %r14, %r15, %rdi, %rbp
+    fp8_round 24, %r9, %r10, %r11, %r12, %r13, %r14, %r15, %rdi, %rbp, %r8
+    fp8_round 32, %r10, %r11, %r12, %r13, %r14, %r15, %rdi, %rbp, %r8, %r9
+    fp8_round 40, %r11, %r12, %r13, %r14, %r15, %rdi, %rbp, %r8, %r9, %r10
+    fp8_round 48, %r12, %r13, %r14, %r15, %rdi, %rbp, %r8, %r9, %r10, %r11
+    fp8_round 56, %r13, %r14, %r15, %rdi, %rbp, %r8, %r9, %r10, %r11, %r12
+    fp8_final %r14, %r15, %rdi, %rbp, %r8, %r9, %r10, %r11, %r12
+    add $24, %rsp
+    pop %r15
+    pop %r14
+    pop %r13
+    pop %r12
+    pop %rbp
+    pop %rbx
+    ret
+    .size maabe_fp_mul8_adx, .-maabe_fp_mul8_adx
+    .popsection
+)");
+#endif
+
 namespace maabe::pairing {
 
 using math::Bignum;
@@ -131,50 +306,6 @@ void k_mul(uint64_t* r, const uint64_t* a, const uint64_t* b, const uint64_t* p,
   reduce_once<N>(r, t, t[N], p);
 }
 
-/// SOS (separated operand scanning) Montgomery square: the cross
-/// products a_i*a_j (i < j) once, doubled by a shift, plus the diagonal,
-/// then N reduction passes. About N^2/2 fewer 64x64 products than
-/// k_mul(a, a), same canonical result.
-template <int N>
-void k_sqr(uint64_t* r, const uint64_t* a, const uint64_t* p, uint64_t n0) {
-  uint64_t t[2 * N] = {};
-#pragma GCC unroll 16
-  for (int i = 0; i < N; ++i) {
-    uint64_t c = 0;
-#pragma GCC unroll 16
-    for (int j = i + 1; j < N; ++j) t[i + j] = mac(a[i], a[j], t[i + j], c);
-    t[i + N] = c;
-  }
-  // Double the cross products (they sum below a^2 < 2^(128N), so the
-  // shift never leaves 2N limbs), then add the diagonal squares.
-  uint64_t top = 0;
-#pragma GCC unroll 16
-  for (int k = 0; k < 2 * N; ++k) {
-    const uint64_t v = t[k];
-    t[k] = (v << 1) | top;
-    top = v >> 63;
-  }
-  uint64_t c = 0;
-#pragma GCC unroll 16
-  for (int i = 0; i < N; ++i) {
-    const u128 d = u128(a[i]) * a[i];
-    t[2 * i] = adc(t[2 * i], static_cast<uint64_t>(d), c);
-    t[2 * i + 1] = adc(t[2 * i + 1], static_cast<uint64_t>(d >> 64), c);
-  }
-  // Montgomery reduction: pass i clears limb i; its carry lands in limb
-  // i + N, whose own overflow is carried into the next pass.
-  uint64_t pending = 0;
-#pragma GCC unroll 16
-  for (int i = 0; i < N; ++i) {
-    const uint64_t m = t[i] * n0;
-    uint64_t cc = 0;
-#pragma GCC unroll 16
-    for (int j = 0; j < N; ++j) t[i + j] = mac(m, p[j], t[i + j], cc);
-    t[i + N] = adc(t[i + N], cc, pending);  // pending: carry in and out
-  }
-  reduce_once<N>(r, t + N, pending, p);
-}
-
 // Helpers for the plain binary extended gcd below.
 template <int N>
 inline bool is_one(const uint64_t* x) {
@@ -264,10 +395,35 @@ bool k_inv(uint64_t* r, const uint64_t* a, const uint64_t* p) {
 }
 
 template <int N>
-constexpr FpCtx::Kernels kKernels = {&k_add<N>, &k_sub<N>, &k_neg<N>,
-                                     &k_mul<N>, &k_sqr<N>, &k_inv<N>};
+constexpr FpCtx::Kernels kKernels = {"portable", &k_add<N>, &k_sub<N>, &k_neg<N>,
+                                     &k_mul<N>, &k_inv<N>};
 
-const FpCtx::Kernels* kernels_for(int n) {
+#if MAABE_FP_ADX
+/// The portable 8-limb table with the mulx/adx multiply.
+constexpr FpCtx::Kernels kAdx8 = {"adx", &k_add<8>, &k_sub<8>, &k_neg<8>,
+                                  &maabe_fp_mul8_adx, &k_inv<8>};
+#endif
+
+/// ADX and BMI2 present, checked once per process.
+bool cpu_has_adx() {
+#if MAABE_FP_ADX
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("adx") && __builtin_cpu_supports("bmi2");
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+const FpCtx::Kernels* kernels_for(int n, FpCtx::KernelSet set) {
+  if (set == FpCtx::KernelSet::kAdx) {
+#if MAABE_FP_ADX
+    if (FpCtx::has_kernel_set(set, n)) return &kAdx8;
+#endif
+    throw MathError("FpCtx: the adx kernels need an 8-limb field and an ADX/BMI2 CPU");
+  }
   switch (n) {
     case 1: return &kKernels<1>;
     case 2: return &kKernels<2>;
@@ -291,10 +447,19 @@ Fp limbs_of(const Bignum& v) {
 
 }  // namespace
 
-FpCtx::FpCtx(const Bignum& p) : p_big_(p) {
+bool FpCtx::has_kernel_set(KernelSet set, int limbs) {
+  if (limbs < 1 || limbs > Fp::kMaxLimbs) return false;
+  return set == KernelSet::kPortable || (limbs == 8 && cpu_has_adx());
+}
+
+FpCtx::FpCtx(const Bignum& p)
+    : FpCtx(p, has_kernel_set(KernelSet::kAdx, p.limb_count()) ? KernelSet::kAdx
+                                                                : KernelSet::kPortable) {}
+
+FpCtx::FpCtx(const Bignum& p, KernelSet set) : p_big_(p) {
   if (!p.is_odd() || p.bit_length() < 2) throw MathError("FpCtx: modulus must be odd and >= 3");
   n_ = p.limb_count();
-  k_ = kernels_for(n_);
+  k_ = kernels_for(n_, set);
   byte_len_ = (p.bit_length() + 7) / 8;
   p_ = limbs_of(p).l;
 

@@ -7,9 +7,12 @@
 // FpCtx fixes the limb count from the modulus (3 for the 192-bit test
 // curve, 8 for the paper's 512-bit field) and runs kernels specialised
 // and unrolled for it; limbs above that count stay zero, so == compares
-// values. All operations go through the context (context-object style
-// keeps the hot path free of per-element field pointers). See DESIGN.md
-// "Field representation" for the reduction bound and inversion choice.
+// values. On x86-64 CPUs with ADX and BMI2 the 8-limb multiply runs a
+// mulx/adcx/adox kernel instead of the portable one; both give the same
+// canonical residues. All operations go through the context
+// (context-object style keeps the hot path free of per-element field
+// pointers). See DESIGN.md "Field representation" for the reduction
+// bound, the kernel dispatch and the inversion choice.
 #pragma once
 
 #include <array>
@@ -39,10 +42,26 @@ struct Fp {
 
 class FpCtx {
  public:
+  /// Kernel sets a context can run on.
+  enum class KernelSet {
+    kPortable,  ///< Unrolled C++ for every limb count.
+    kAdx,       ///< x86-64 mulx/adcx/adox multiply; 8 limbs, needs ADX and BMI2.
+  };
+
   /// p must be an odd prime of at most 512 bits. Throws MathError for an
   /// even or wider modulus; primality is the caller's (TypeAParams
-  /// validates it), and inv() throws where it fails.
+  /// validates it), and inv() throws where it fails. Runs on the fastest
+  /// kernel set this CPU offers for the modulus' limb count.
   explicit FpCtx(const math::Bignum& p);
+  /// Same field on a pinned kernel set, so tests and benchmarks can
+  /// compare the sets in one process. Throws MathError when
+  /// !has_kernel_set(set, limbs).
+  FpCtx(const math::Bignum& p, KernelSet set);
+
+  /// True when `set` runs on this CPU for a field of `limbs` limbs.
+  static bool has_kernel_set(KernelSet set, int limbs);
+  /// "portable" or "adx".
+  const char* kernel_name() const { return k_->name; }
 
   const math::Bignum& modulus() const { return p_big_; }
   size_t byte_length() const { return byte_len_; }
@@ -77,11 +96,13 @@ class FpCtx {
     k_->mul(r.l.data(), a.l.data(), b.l.data(), p_.data(), n0_);
     return r;
   }
-  /// SOS Montgomery square; same bits as mul(a, a).
-  Fp sqr(const Fp& a) const {
-    Fp r;
-    k_->sqr(r.l.data(), a.l.data(), p_.data(), n0_);
-    return r;
+  /// mul(a, a): a dedicated square kernel measured slower than the CIOS
+  /// multiply (DESIGN.md §17).
+  Fp sqr(const Fp& a) const { return mul(a, a); }
+  /// The multiply kernel on raw limbs, for kernel-level tests: r may
+  /// alias a, b or both.
+  void mul_limbs(uint64_t* r, const uint64_t* a, const uint64_t* b) const {
+    k_->mul(r, a, b, p_.data(), n0_);
   }
   /// Limb-native binary extended gcd. Throws MathError on zero.
   Fp inv(const Fp& a) const;
@@ -118,14 +139,14 @@ class FpCtx {
   /// Throws WireError on a bad length or a value >= p.
   Fp from_bytes(ByteView data) const;
 
-  /// Kernel table for one limb count (see fp.cpp).
+  /// Kernel table for one limb count and kernel set (see fp.cpp).
   struct Kernels {
+    const char* name;
     void (*add)(uint64_t* r, const uint64_t* a, const uint64_t* b, const uint64_t* p);
     void (*sub)(uint64_t* r, const uint64_t* a, const uint64_t* b, const uint64_t* p);
     void (*neg)(uint64_t* r, const uint64_t* a, const uint64_t* p);
     void (*mul)(uint64_t* r, const uint64_t* a, const uint64_t* b, const uint64_t* p,
                 uint64_t n0);
-    void (*sqr)(uint64_t* r, const uint64_t* a, const uint64_t* p, uint64_t n0);
     /// Plain (non-Montgomery) inverse of a nonzero a < p; false when
     /// none exists (p not prime).
     bool (*inv)(uint64_t* r, const uint64_t* a, const uint64_t* p);

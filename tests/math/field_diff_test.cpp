@@ -1,6 +1,10 @@
 // Differential test of the fixed-width field layer (pairing::FpCtx)
-// against GMP, an independent big-integer oracle, at both curve sizes:
-// the 3-limb test field and the 8-limb field of the paper's curve.
+// against GMP, an independent big-integer oracle: the 3-limb test
+// field, the 8-limb field of the paper's curve (top bit of the last limb
+// set), an 8-limb 480-bit field (top bit clear) and an 8-limb field
+// whose last limb is all ones (the most carries), each on every kernel
+// set the CPU offers (the portable C++ kernels everywhere, the mulx/adx
+// multiply on x86-64 with ADX and BMI2).
 //
 // Elements cross between the two libraries through the fixed-width
 // big-endian encoding (FpCtx::to_bytes/from_bytes <-> mpz_import/
@@ -49,17 +53,96 @@ class Mpz {
   mpz_t v_;
 };
 
-/// The field's cases: one per curve size.
+/// Type-A parameters over a 480-bit field (generated offline, validated
+/// by the test that uses them): 8 limbs whose last one leaves the top 32
+/// bits clear, so the reduction's carry word stays zero — the other case
+/// from the shipped curves, which both use the top bit.
+const TypeAParams& params_p480() {
+  static const TypeAParams params = {
+      Bignum::from_hex("bb3ae109f0036ce2f7d1f3511e13752e11500e85e9d9a786a283582deabc31bc"
+                       "7c25f9131689d0f1192436850bf47c34ed2deb516046d647099f2d47"),
+      Bignum::from_hex("be82d974418d4cffbaf35711a6e57106c28c859f"),
+      Bignum::from_hex("fb974970094a5a0ffc7672d10ae8bb7275a3649aeadd6d414f7a7adc32d2d4e5"
+                       "6492045b17cffdb8")};
+  return params;
+}
+
+/// Type-A parameters whose 512-bit q has an all-ones top limb (q just
+/// below 2^512, generated offline): every product's high words and the
+/// running value's carry word reach their extremes far more often than
+/// at the other moduli.
+const TypeAParams& params_p512_ones() {
+  static const TypeAParams params = {
+      Bignum::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+                       "ffffffffffffffffffffff07b731b9536dfb9a6156656db11874453025966703"),
+      Bignum::from_hex("9eeee29625f56ec8fd6ea80ee1ea56ce4b20791d"),
+      Bignum::from_hex("19c5977a861a25db45564a15265cb799f4d2a65a7a53c5b6eb8b719a5d6e5604c"
+                       "31bb5c7e47333019a2aa97d4")};
+  return params;
+}
+
+/// One field on one kernel set.
 struct FieldCase {
   const char* name;
   const TypeAParams& (*params)();
+  FpCtx::KernelSet set = FpCtx::KernelSet::kPortable;
 };
 
 void PrintTo(const FieldCase& c, std::ostream* os) { *os << c.name; }
 
+bool has_set(const FieldCase& c) {
+  return FpCtx::has_kernel_set(c.set, c.params().q.limb_count());
+}
+
+/// The case's context; the portable set stands in where the case's set
+/// is missing (the test then skips).
+FpCtx ctx_for(const FieldCase& c) {
+  return FpCtx(c.params().q, has_set(c) ? c.set : FpCtx::KernelSet::kPortable);
+}
+
+const auto kCaseName = [](const auto& info) { return std::string(info.param.name); };
+
+/// The portable set on every field, plus the adx set on the 8-limb
+/// ones. The unsuffixed names are the portable runs.
+const auto kFieldCases = ::testing::Values(
+    FieldCase{"test_small", &TypeAParams::test_small},
+    FieldCase{"pbc_a512", &TypeAParams::pbc_a512},
+    FieldCase{"pbc_a512_adx", &TypeAParams::pbc_a512, FpCtx::KernelSet::kAdx},
+    FieldCase{"p480", &params_p480},
+    FieldCase{"p480_adx", &params_p480, FpCtx::KernelSet::kAdx},
+    FieldCase{"p512_ones", &params_p512_ones},
+    FieldCase{"p512_ones_adx", &params_p512_ones, FpCtx::KernelSet::kAdx});
+
+/// Seeded random operands plus the edge cases: 0, 1, 2, p-1, p-2,
+/// (p-1)/2, (p+1)/2, 2^(64(n-1)) (only the top limb set), p - 2^64,
+/// and a top limb one below p's with every lower bit set.
+std::vector<Fp> operands(const FpCtx& fq, crypto::Drbg& rng, size_t random_count) {
+  std::vector<Fp> out;
+  const Bignum& q = fq.modulus();
+  const Bignum one = Bignum::from_u64(1);
+  const int n = fq.limbs();
+  out.push_back(fq.zero());
+  out.push_back(fq.one());
+  out.push_back(fq.enc(Bignum::from_u64(2)));
+  out.push_back(fq.enc(Bignum::sub(q, one)));
+  out.push_back(fq.enc(Bignum::sub(q, Bignum::from_u64(2))));
+  out.push_back(fq.enc(Bignum::shr(Bignum::sub(q, one), 1)));
+  out.push_back(fq.enc(Bignum::shr(Bignum::add(q, one), 1)));
+  out.push_back(fq.enc(Bignum::shl(one, 64 * (n - 1))));
+  out.push_back(fq.enc(Bignum::sub(q, Bignum::shl(one, 64))));
+  const Bignum top = Bignum::shl(Bignum::from_u64(q.limb(n - 1) - 1), 64 * (n - 1));
+  out.push_back(fq.enc(Bignum::add(top, Bignum::sub(Bignum::shl(one, 64 * (n - 1)), one))));
+  for (size_t i = 0; i < random_count; ++i) out.push_back(fq.random(rng));
+  return out;
+}
+
 class FieldDiffTest : public ::testing::TestWithParam<FieldCase> {
  protected:
-  FieldDiffTest() : fq(GetParam().params().q), p(GetParam().params().q) {}
+  FieldDiffTest() : fq(ctx_for(GetParam())), p(GetParam().params().q) {}
+
+  void SetUp() override {
+    if (!has_set(GetParam())) GTEST_SKIP() << "kernel set not offered by this CPU";
+  }
 
   Mpz to_mpz(const Fp& x) const {
     const Bytes b = fq.to_bytes(x);
@@ -81,29 +164,8 @@ class FieldDiffTest : public ::testing::TestWithParam<FieldCase> {
     return fq.from_bytes(b);
   }
 
-  Fp from_u64(uint64_t v) const { return fq.enc(Bignum::from_u64(v)); }
-
-  /// Seeded random operands plus the edge cases: 0, 1, 2, p-1, p-2,
-  /// (p-1)/2, (p+1)/2, 2^(64(n-1)) (only the top limb set), p - 2^64,
-  /// and a top limb one below p's with every lower bit set.
   std::vector<Fp> operands(size_t random_count) {
-    std::vector<Fp> out;
-    const Bignum& q = fq.modulus();
-    const Bignum one = Bignum::from_u64(1);
-    const int n = fq.limbs();
-    out.push_back(fq.zero());
-    out.push_back(fq.one());
-    out.push_back(from_u64(2));
-    out.push_back(fq.enc(Bignum::sub(q, one)));
-    out.push_back(fq.enc(Bignum::sub(q, Bignum::from_u64(2))));
-    out.push_back(fq.enc(Bignum::shr(Bignum::sub(q, one), 1)));
-    out.push_back(fq.enc(Bignum::shr(Bignum::add(q, one), 1)));
-    out.push_back(fq.enc(Bignum::shl(one, 64 * (n - 1))));
-    out.push_back(fq.enc(Bignum::sub(q, Bignum::shl(one, 64))));
-    const Bignum top = Bignum::shl(Bignum::from_u64(q.limb(n - 1) - 1), 64 * (n - 1));
-    out.push_back(fq.enc(Bignum::add(top, Bignum::sub(Bignum::shl(one, 64 * (n - 1)), one))));
-    for (size_t i = 0; i < random_count; ++i) out.push_back(fq.random(rng));
-    return out;
+    return pairing::operands(fq, rng, random_count);
   }
 
   FpCtx fq;
@@ -113,9 +175,21 @@ class FieldDiffTest : public ::testing::TestWithParam<FieldCase> {
 
 TEST_P(FieldDiffTest, LimbCountMatchesField) {
   EXPECT_EQ(fq.limbs(), (fq.modulus().bit_length() + 63) / 64);
+  EXPECT_STREQ(fq.kernel_name(),
+               GetParam().set == FpCtx::KernelSet::kAdx ? "adx" : "portable");
   // Both shipped curves use the top bit of their last limb — the case
-  // that needs the carry word in the reduction.
-  EXPECT_EQ(fq.modulus().bit_length() % 64, 0);
+  // that needs the carry word in the reduction; the 480-bit field leaves
+  // it clear.
+  const auto params = GetParam().params;
+  if (params == &params_p480 || params == &params_p512_ones) params().validate();
+  if (params == &params_p480) {
+    EXPECT_EQ(fq.modulus().bit_length(), 480);
+  } else {
+    EXPECT_EQ(fq.modulus().bit_length() % 64, 0);
+  }
+  if (params == &params_p512_ones) {
+    EXPECT_EQ(fq.modulus().limb(7), ~uint64_t{0});
+  }
 }
 
 TEST_P(FieldDiffTest, CodecMatchesGmp) {
@@ -165,6 +239,22 @@ TEST_P(FieldDiffTest, RingOpsMatchGmp) {
     mpz_mod(expect.get(), expect.get(), p.get());
     ASSERT_EQ(mpz_cmp(to_mpz(fq.neg(a)).get(), expect.get()), 0) << i;
     ASSERT_EQ(mpz_cmp(to_mpz(fq.dbl(a)).get(), to_mpz(fq.add(a, a)).get()), 0) << i;
+  }
+}
+
+TEST_P(FieldDiffTest, MulAllowsAliasedOutput) {
+  for (const Fp& a : operands(100)) {
+    const Fp b = fq.random(rng);
+    const Fp ab = fq.mul(a, b), aa = fq.mul(a, a);
+    Fp r = a;
+    fq.mul_limbs(r.l.data(), r.l.data(), b.l.data());  // r == a
+    ASSERT_EQ(r, ab);
+    r = b;
+    fq.mul_limbs(r.l.data(), a.l.data(), r.l.data());  // r == b
+    ASSERT_EQ(r, ab);
+    r = a;
+    fq.mul_limbs(r.l.data(), r.l.data(), r.l.data());  // r == a == b
+    ASSERT_EQ(r, aa);
   }
 }
 
@@ -229,10 +319,49 @@ TEST_P(FieldDiffTest, FromBytesRejectsUnreducedValues) {
   EXPECT_THROW(fq.inv(fq.zero()), MathError);
 }
 
-INSTANTIATE_TEST_SUITE_P(Curves, FieldDiffTest,
-                         ::testing::Values(FieldCase{"test_small", &TypeAParams::test_small},
-                                           FieldCase{"pbc_a512", &TypeAParams::pbc_a512}),
-                         [](const auto& info) { return std::string(info.param.name); });
+INSTANTIATE_TEST_SUITE_P(Curves, FieldDiffTest, kFieldCases, kCaseName);
+
+// The adx multiply against the portable one on the same operands, so the
+// portable fallback stays checked on hosts that run adx by default.
+TEST(KernelSetTest, AdxMulMatchesPortableOnSeededOperands) {
+  if (!FpCtx::has_kernel_set(FpCtx::KernelSet::kAdx, 8)) GTEST_SKIP() << "no ADX/BMI2";
+  for (const TypeAParams* params :
+       {&TypeAParams::pbc_a512(), &params_p480(), &params_p512_ones()}) {
+    const Bignum& q = params->q;
+    const FpCtx adx(q, FpCtx::KernelSet::kAdx);
+    const FpCtx portable(q, FpCtx::KernelSet::kPortable);
+    crypto::Drbg rng(std::string_view("kernel-sets"));
+    // The edge cases, raw limb patterns below q (one limb set to 1 or
+    // to all ones, runs of all-ones limbs from either end — sparse
+    // values such as the plain 1 that to_bytes multiplies by make the
+    // carry chains line up), and seeded residues: 512 operands, each
+    // multiplied by 256 others and squared, 131k+ products per field.
+    std::vector<Fp> xs = operands(portable, rng, 0);
+    for (int k = 0; k < 8; ++k) {
+      Fp one_limb, ones_limb, low_ones, high_ones;
+      one_limb.l[k] = 1;
+      ones_limb.l[k] = ~uint64_t{0};
+      for (int j = 0; j < 8; ++j) {
+        if (j <= k) low_ones.l[j] = ~uint64_t{0};
+        if (j >= k) high_ones.l[j] = ~uint64_t{0};
+      }
+      for (const Fp& v : {one_limb, ones_limb, low_ones, high_ones}) {
+        if (Bignum::cmp(Bignum::from_limbs_le(v.l.data(), 8), q) < 0) xs.push_back(v);
+      }
+    }
+    while (xs.size() < 512) xs.push_back(portable.random(rng));
+    size_t checked = 0;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(adx.sqr(xs[i]), portable.sqr(xs[i])) << i;
+      for (size_t k = 0; k < 256; ++k) {
+        const Fp& b = xs[(i * 7 + k * 13) % xs.size()];
+        ASSERT_EQ(adx.mul(xs[i], b), portable.mul(xs[i], b)) << i << "," << k;
+        ++checked;
+      }
+    }
+    EXPECT_GE(checked, 100000u);
+  }
+}
 
 // ------------------------------------------------------ window tables --
 
@@ -260,11 +389,16 @@ void expect_same_point(const AffinePoint& a, const AffinePoint& b, int d, int j)
   ASSERT_EQ(a.y, b.y) << "entry " << d << "," << j;
 }
 
-class TableDiffTest : public ::testing::TestWithParam<FieldCase> {};
+class TableDiffTest : public ::testing::TestWithParam<FieldCase> {
+ protected:
+  void SetUp() override {
+    if (!has_set(GetParam())) GTEST_SKIP() << "kernel set not offered by this CPU";
+  }
+};
 
 TEST_P(TableDiffTest, BatchNormalizedTableEqualsPerEntryTable) {
   const TypeAParams& params = GetParam().params();
-  const FpCtx fq(params.q);
+  const FpCtx fq = ctx_for(GetParam());
   const CurveCtx curve(fq);
   const int bits = params.r.bit_length();
   crypto::Drbg rng(std::string_view("table-diff"));
@@ -310,10 +444,7 @@ TEST_P(TableDiffTest, BatchNormalizedTableEqualsPerEntryTable) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Curves, TableDiffTest,
-                         ::testing::Values(FieldCase{"test_small", &TypeAParams::test_small},
-                                           FieldCase{"pbc_a512", &TypeAParams::pbc_a512}),
-                         [](const auto& info) { return std::string(info.param.name); });
+INSTANTIATE_TEST_SUITE_P(Curves, TableDiffTest, kFieldCases, kCaseName);
 
 }  // namespace
 }  // namespace maabe::pairing
