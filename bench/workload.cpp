@@ -16,9 +16,9 @@
 //             kOverloaded rejection and queue depth stays bounded
 //             (overload_rejected / overload_bounded guards).
 //   recovery  kill node:1 at 1/3, traffic through the outage, rejoin at
-//             2/3 via the recovery protocol (hinted hand-off + Merkle
-//             anti-entropy + 2PC epoch resolution, DESIGN.md §15) —
-//             emits recovery_convergence_ms and the transferred-bytes
+//             2/3 via the recovery protocol (2PC epoch resolution +
+//             Merkle anti-entropy, DESIGN.md §15) — emits
+//             recovery_convergence_ms and the transferred-bytes
 //             counters. Guards: the rejoin must move something
 //             (recovery_bytes_transferred) but strictly less than a
 //             full snapshot of the node (recovery_bounded), and no
@@ -115,7 +115,6 @@ Json report_json(const WorkloadReport& r) {
       .put("recovery_convergence_ms", r.recovery_convergence_ms)
       .put("recovery_bytes_transferred", r.recovery_bytes_transferred)
       .put("recovery_files_transferred", r.recovery_files_transferred)
-      .put("recovery_hints_replayed", r.recovery_hints_replayed)
       .put("recovery_epochs_resolved", r.recovery_epochs_resolved);
   if (!r.slo.empty()) {
     Json slo;
@@ -195,8 +194,8 @@ int main() {
   const WorkloadReport rec = rec_gen.run();
   print_report("recovery", rec);
   // The rejoin must have moved strictly less than the node's full store
-  // (that is the point of hint-scoped drains + Merkle diffs over a
-  // snapshot fetch), and no epoch may be left staged-open.
+  // (that is the point of Merkle diffs over a snapshot fetch), and no
+  // epoch may be left staged-open.
   const uint64_t rec_snapshot_bytes =
       rec_gen.system().cluster().snapshot("node:1").size();
   const double rec_ratio =
@@ -260,7 +259,6 @@ int main() {
       .put("recovery_convergence_ms", rec.recovery_convergence_ms)
       .put("recovery_bytes_transferred", rec.recovery_bytes_transferred)
       .put("recovery_files_transferred", rec.recovery_files_transferred)
-      .put("recovery_hints_replayed", rec.recovery_hints_replayed)
       .put("recovery_snapshot_bytes", rec_snapshot_bytes)
       .put("recovery_transfer_ratio", rec_ratio)
       .put("recovery_bounded", rec_bounded ? 1 : 0)

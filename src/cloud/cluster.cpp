@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <tuple>
 
 #include "abe/serial.h"
 #include "common/errors.h"
@@ -223,15 +222,15 @@ void Cluster::restart_node(const std::string& name) {
   //    epoch_commit_orphan exactly as a delivered-but-unknown commit
   //    would be, and the node's stale copy heals via read-repair.
   // Recovery replay of the survivors is still the durable queues' job:
-  // they land on the next flush; repair_all() closes any remaining
-  // divergence.
+  // they land on the next flush; the rejoin's anti-entropy below closes
+  // any divergence they would leave.
   std::map<std::string, uint64_t> newest;
   for (const std::string& label : durable_.pending_labels(name)) {
     std::string fid;
     uint64_t version = 0;
     if (!parse_versioned_label(label, &fid, &version)) continue;
     auto [it, inserted] = newest.try_emplace(fid, version);
-    if (!inserted && version > it->second) it->second = version;
+    if (!inserted && newer_version(version, it->second)) it->second = version;
   }
   uint64_t orphans = 0;
   const size_t pruned =
@@ -239,7 +238,7 @@ void Cluster::restart_node(const std::string& name) {
         std::string fid;
         uint64_t version = 0;
         if (parse_versioned_label(label, &fid, &version))
-          return version < newest[fid];
+          return newer_version(newest[fid], version);
         bool is_commit = false;
         uint64_t epoch_id = 0;
         if (parse_epoch_control_label(label, &is_commit, &epoch_id) &&
@@ -257,10 +256,9 @@ void Cluster::restart_node(const std::string& name) {
     epoch_commit_orphans_.fetch_add(orphans, std::memory_order_relaxed);
     ClusterMetrics::get().epoch_commit_orphans.add(orphans);
   }
-  // Rejoin protocol (DESIGN.md §15): resolve staged-open epochs, drain
-  // the hinted hand-offs recorded while this node was down, then run a
-  // scoped Merkle anti-entropy round against each alive peer. The node
-  // is byte-identical to its peers afterwards without a full-store
+  // Rejoin protocol (DESIGN.md §15): resolve staged-open epochs, then
+  // run a scoped Merkle anti-entropy round against each alive peer. The
+  // node is byte-identical to its peers afterwards without a full-store
   // scan or quorum read.
   recovery_->rejoin(name);
   // Second reconciliation: parked replication/read-repair ops at or
@@ -271,7 +269,7 @@ void Cluster::restart_node(const std::string& name) {
         std::string fid;
         uint64_t version = 0;
         return parse_versioned_label(label, &fid, &version) &&
-               version <= version_of(name, fid);
+               !newer_version(version, version_of(name, fid));
       });
   if (pruned_after > 0) {
     restart_prunes_.fetch_add(pruned_after, std::memory_order_relaxed);
@@ -326,15 +324,15 @@ bool Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
     std::lock_guard<std::mutex> lock(n.mu);
     n.store->store(std::move(file));
     Meta& m = n.meta[file_id];
-    version = ++m.version;
+    version = m.version = next_write_version(m.version);
     m.hash = hash;
   }
   if (config_.replication == 1) return true;
   // Fan the versioned op out to the other replicas. Unreachable
   // replicas park; the queue replays in FIFO = version order, so a
-  // recovered replica converges without reordering. Any replica that
-  // misses the synchronous delivery (parked or shed) gets a hinted
-  // hand-off, drained when it rejoins.
+  // recovered replica converges without reordering. A replica that
+  // misses the delivery altogether (shed) heals by read-repair or by
+  // anti-entropy when it rejoins.
   ReplicationOp op{file_id, version, hash, wire};
   const Bytes op_wire = encode_replication_op(op);
   bool everywhere = true;
@@ -351,20 +349,16 @@ bool Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
           self, replica, op_wire,
           [this, replica](ByteView payload) { handle_replication(replica, payload); },
           "replicate " + file_id + " v" + std::to_string(version));
-      if (!delivered) {
-        everywhere = false;
-        recovery_->record_hint(self, replica, file_id, version);
-      }
+      if (!delivered) everywhere = false;
     } catch (const TransportError& e) {
       // Bounded-queue backpressure: the replica's parked queue is full.
       // The write already succeeded at the coordinator; shed this
-      // maintenance op (counted) and leave a hint so the rejoin drain
-      // (or read-repair) heals the replica.
+      // maintenance op (counted) — read-repair or anti-entropy heals
+      // the replica.
       if (e.kind() != TransportError::Kind::kOverloaded) throw;
       everywhere = false;
       replication_sheds_.fetch_add(1, std::memory_order_relaxed);
       ClusterMetrics::get().replication_shed.inc();
-      recovery_->record_hint(self, replica, file_id, version);
     }
   }
   return everywhere;
@@ -379,7 +373,7 @@ void Cluster::apply_replication(Node& n, const ReplicationOp& op) {
   {
     std::lock_guard<std::mutex> lock(n.mu);
     const auto it = n.meta.find(op.file_id);
-    if (it != n.meta.end() && op.version < it->second.version) return;
+    if (it != n.meta.end() && newer_version(it->second.version, op.version)) return;
     if (it != n.meta.end() && op.version == it->second.version &&
         n.store->has_file(op.file_id)) {
       const Bytes local = serialize(*grp_, *n.store->fetch(op.file_id));
@@ -485,16 +479,18 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
   ClusterMetrics::get().quorum_reads.inc();
 
   // Winner: authentic (bytes match the recorded hash) beats corrupt,
-  // then the highest version, then ring preference order.
+  // then the newer version, then ring preference order.
+  const auto beats = [](const ReplicaReply& a, const ReplicaReply& b) {
+    if (a.valid != b.valid) return a.valid;
+    if (a.reply.version != b.reply.version)
+      return newer_version(a.reply.version, b.reply.version);
+    return a.pref < b.pref;
+  };
   ReplicaReply* winner = nullptr;
   for (ReplicaReply& r : replies) {
     if (!r.reply.found) continue;
     r.valid = sha256_of(r.reply.wire) == r.reply.hash;
-    if (winner == nullptr ||
-        std::make_tuple(r.valid, r.reply.version, winner->pref) >
-            std::make_tuple(winner->valid, winner->reply.version, r.pref)) {
-      winner = &r;
-    }
+    if (winner == nullptr || beats(r, *winner)) winner = &r;
   }
   if (winner == nullptr)
     throw SchemeError("CloudServer: no file '" + file_id + "'");
@@ -516,23 +512,19 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
       continue;
     }
     try {
-      const bool delivered = durable_.send_or_park(
+      durable_.send_or_park(
           self, r.node, encode_replication_op(op),
           [this, target = r.node](ByteView payload) {
             handle_replication(target, payload);
           },
           "read-repair " + file_id + " v" +
               std::to_string(winner->reply.version));
-      if (!delivered) {
-        recovery_->record_hint(self, r.node, file_id, winner->reply.version);
-      }
     } catch (const TransportError& e) {
-      // Shed the repair under backpressure; the read itself succeeded.
-      // The hint keeps the divergence on record for the rejoin drain.
+      // Shed the repair under backpressure; the read itself succeeded
+      // and the next read or anti-entropy round finds the divergence.
       if (e.kind() != TransportError::Kind::kOverloaded) throw;
       replication_sheds_.fetch_add(1, std::memory_order_relaxed);
       ClusterMetrics::get().replication_shed.inc();
-      recovery_->record_hint(self, r.node, file_id, winner->reply.version);
     }
   }
   if (span.active()) {
@@ -642,7 +634,7 @@ bool Cluster::apply_epoch_decision(Node& n, uint64_t epoch_id, bool commit) {
         n.store->commit_reencrypt(token, &committed_files);
         for (const std::string& fid : committed_files) {
           Meta& m = n.meta[fid];
-          ++m.version;
+          m.version = next_reencrypt_version(m.version);
           m.hash = sha256_of(serialize(*grp_, *n.store->fetch(fid)));
         }
       } else {
@@ -799,38 +791,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
   }
 }
 
-// --------------------------------------- anti-entropy / inspection --
-
-size_t Cluster::repair_all() {
-  const uint64_t before = read_repairs_.load(std::memory_order_relaxed);
-  std::set<std::string> ids;
-  for (const auto& n : nodes_) {
-    if (!alive(n->name)) continue;
-    for (const std::string& id : n->store->file_ids()) ids.insert(id);
-  }
-  for (const std::string& id : ids) {
-    std::string coord = route_for(id);
-    if (!alive(coord)) {
-      // Whole replica set down: fall back to the next alive node in
-      // preference order so the attempt is made (and its quorum failure
-      // counted) instead of silently skipping the file.
-      coord.clear();
-      for (const std::string& n : ring_.preference_order(id)) {
-        if (alive(n)) {
-          coord = n;
-          break;
-        }
-      }
-      if (coord.empty()) continue;  // whole cluster down
-    }
-    try {
-      handle_fetch(coord, id);
-    } catch (const Error&) {
-      // Quorum not met (or the file vanished): nothing to repair now.
-    }
-  }
-  return static_cast<size_t>(read_repairs_.load(std::memory_order_relaxed) - before);
-}
+// ----------------------------------------------------- inspection --
 
 Bytes Cluster::snapshot(const std::string& name) const {
   const Node& n = node(name);

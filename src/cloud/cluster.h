@@ -6,16 +6,21 @@
 // of the file's preference order, so node failure changes who serves a
 // request, never where the data belongs.
 //
-// Writes: the coordinator assigns the file the next version of its
-// local copy, stores it, and fans a ReplicationOp out to the other
-// replicas through per-node DurableLink queues — asynchronous
-// replication with write-ahead parking, replayed in version order when
-// an unreachable replica comes back.
+// Writes: the coordinator assigns the file the next write version of
+// its local copy (replication.h: a re-encryption of an older write
+// never orders after a newer write), stores it, and fans a
+// ReplicationOp out to the other replicas through per-node DurableLink
+// queues — asynchronous replication with write-ahead parking, replayed
+// in version order when an unreachable replica comes back.
 //
 // Reads: the coordinator collects one FetchReply per alive replica
 // (its own copy locally, the rest over the transport), requires a
 // quorum, picks the winner (authentic > newest > preferred) and
 // repairs divergent replicas in the background (read-repair).
+//
+// Rejoin: restart_node resolves staged-open epochs and runs a scoped
+// Merkle anti-entropy round against each alive peer (RecoveryManager,
+// DESIGN.md §15); recovery().sync_all() is the operator repair.
 //
 // Revocation epochs: cluster-wide two-phase commit over the PR 2
 // stage-then-commit hooks. The coordinator stages the epoch on every
@@ -87,7 +92,7 @@ struct ClusterStats {
   uint64_t epoch_commit_orphans = 0;  ///< commits for staged state lost to a restart
   /// Maintenance ops (replication fan-out, read-repair, epoch controls)
   /// dropped because the destination's bounded durable queue was full.
-  /// The replica stays stale until read-repair / repair_all heals it.
+  /// The replica stays stale until read-repair or anti-entropy heals it.
   uint64_t replication_sheds = 0;
   /// Parked ops dropped by restart_node reconciliation (superseded
   /// replication versions, epoch controls whose staged state died).
@@ -134,11 +139,10 @@ class Cluster {
   /// applies last-write-wins — and epoch commit/abort controls whose
   /// staged 2PC state died with the node are dropped, a dropped commit
   /// counting as an epoch_commit_orphan), then runs the rejoin protocol
-  /// (DESIGN.md §15): resolve staged epochs, drain hinted hand-offs,
-  /// scoped Merkle anti-entropy against each alive peer, and a second
-  /// prune of parked ops the recovered state supersedes. After this the
-  /// node is byte-identical to its peers on the files it replicates,
-  /// without a full-store scan.
+  /// (DESIGN.md §15): resolve staged epochs, scoped Merkle anti-entropy
+  /// against each alive peer, and a second prune of parked ops the
+  /// recovered state supersedes. After this the node is byte-identical
+  /// to its peers on the files it replicates, without a full-store scan.
   void restart_node(const std::string& name);
 
   // ---- Placement -----------------------------------------------------
@@ -173,18 +177,10 @@ class Cluster {
   /// stays parked and replays.
   void handle_epoch(const std::string& self, ByteView epoch_wire);
 
-  // ---- Anti-entropy / introspection ----------------------------------
-  /// Legacy operator anti-entropy: quorum-read every known file at its
-  /// current coordinator so divergent replicas get read-repair ops.
-  /// When the whole replica set of a file is down, the read is
-  /// attempted from the next alive node in preference order so the
-  /// failure is counted (quorum_failures) instead of silently skipped.
-  /// Prefer recovery().sync_all(): it moves only divergent files.
-  /// Returns the number of repair ops issued.
-  size_t repair_all();
-
-  /// The self-healing subsystem (Merkle anti-entropy, hinted hand-off,
-  /// 2PC epoch resolution — DESIGN.md §15).
+  // ---- Recovery / introspection --------------------------------------
+  /// The self-healing subsystem (2PC epoch resolution and Merkle
+  /// anti-entropy — DESIGN.md §15). Operator repair is
+  /// recovery().sync_all().
   RecoveryManager& recovery() { return *recovery_; }
   const RecoveryManager& recovery() const { return *recovery_; }
 
@@ -233,10 +229,6 @@ class Cluster {
     bool alive = true;                       // guarded by mu
     std::map<std::string, Meta> meta;        // guarded by mu
     std::map<uint64_t, uint64_t> staged;     // epoch id -> store token, by mu
-    /// Hinted hand-off: target node -> (file_id -> newest missed
-    /// version). Held by the coordinator that shed/parked the write;
-    /// survives kill_node like the committed store. Guarded by mu.
-    std::map<std::string, std::map<std::string, uint64_t>> hints;
     /// 2PC decision log: epoch id -> kVerdict*. The durable half of the
     /// presumed-abort protocol — kill_node wipes staged state but never
     /// this, so peers can resolve a dead coordinator's epochs. By mu.

@@ -17,8 +17,6 @@ namespace {
 
 /// Registry handles for the recovery counters (PR 4 registry style).
 struct RecoveryMetrics {
-  telemetry::Counter& hints_recorded;
-  telemetry::Counter& hints_replayed;
   telemetry::Counter& syncs;
   telemetry::Counter& sync_rounds;
   telemetry::Counter& shards_divergent;
@@ -30,8 +28,6 @@ struct RecoveryMetrics {
   static RecoveryMetrics& get() {
     auto& reg = telemetry::MetricsRegistry::global();
     static RecoveryMetrics* m = new RecoveryMetrics{
-        reg.counter("maabe_recovery_hints_recorded_total"),
-        reg.counter("maabe_recovery_hints_replayed_total"),
         reg.counter("maabe_recovery_syncs_total"),
         reg.counter("maabe_recovery_sync_rounds_total"),
         reg.counter("maabe_recovery_shards_divergent_total"),
@@ -50,8 +46,6 @@ struct RecoveryMetrics {
 constexpr uint8_t kTreeLevel = 1;     ///< digests of one tree level slice
 constexpr uint8_t kShardListing = 2;  ///< leaf entries of divergent shards
 constexpr uint8_t kFilePull = 3;      ///< current copy of one file
-constexpr uint8_t kHintList = 4;      ///< hints held for a target node
-constexpr uint8_t kHintClear = 5;     ///< ack a drained hint
 constexpr uint8_t kDecisionQuery = 6; ///< 2PC decision-log lookup
 
 }  // namespace
@@ -241,39 +235,6 @@ Bytes RecoveryManager::serve(const std::string& self, ByteView request) {
       w.var_bytes(encode_replication_op(op));
       break;
     }
-    case kHintList: {
-      const std::string target = r.str();
-      r.expect_done();
-      std::lock_guard<std::mutex> lock(n.mu);
-      const auto it = n.hints.find(target);
-      if (it == n.hints.end()) {
-        w.u32(0);
-        break;
-      }
-      w.u32(static_cast<uint32_t>(it->second.size()));
-      for (const auto& [fid, version] : it->second) {
-        w.str(fid);
-        w.u64(version);
-      }
-      break;
-    }
-    case kHintClear: {
-      const std::string target = r.str();
-      const std::string fid = r.str();
-      const uint64_t version = r.u64();
-      r.expect_done();
-      std::lock_guard<std::mutex> lock(n.mu);
-      const auto it = n.hints.find(target);
-      if (it != n.hints.end()) {
-        const auto hit = it->second.find(fid);
-        if (hit != it->second.end() && hit->second <= version) {
-          it->second.erase(hit);
-          if (it->second.empty()) n.hints.erase(it);
-        }
-      }
-      w.u8(1);
-      break;
-    }
     case kDecisionQuery: {
       const uint64_t epoch_id = r.u64();
       r.expect_done();
@@ -311,20 +272,20 @@ void RecoveryManager::push_file(const std::string& from, const std::string& to,
   rep->bytes_transferred += op.wire.size();
 }
 
-bool RecoveryManager::pull_file(const std::string& to, const std::string& from,
-                                const std::string& file_id, uint64_t* bytes) {
+void RecoveryManager::pull_file(const std::string& to, const std::string& from,
+                                const std::string& file_id, SyncReport* rep) {
   Writer w;
   w.u8(kFilePull);
   w.str(file_id);
   const Bytes reply = rpc(to, from, w.take());
   Reader r(reply);
-  if (r.u8() == 0) return false;
+  if (r.u8() == 0) return;
   const Bytes op_wire = r.var_bytes();
   r.expect_done();
   const ReplicationOp op = decode_replication_op(op_wire);
-  if (bytes != nullptr) *bytes += op.wire.size();
   cluster_.apply_replication(cluster_.node(to), op);
-  return true;
+  ++rep->files_pulled;
+  rep->bytes_transferred += op.wire.size();
 }
 
 SyncReport RecoveryManager::sync(const std::string& initiator,
@@ -419,10 +380,7 @@ SyncReport RecoveryManager::sync(const std::string& initiator,
           continue;
         }
         if (only_remote) {
-          uint64_t bytes = 0;
-          if (pull_file(initiator, peer, remote[ri].fid, &bytes))
-            ++rep.files_pulled;
-          rep.bytes_transferred += bytes;
+          pull_file(initiator, peer, remote[ri].fid, &rep);
           ++ri;
           continue;
         }
@@ -434,7 +392,7 @@ SyncReport RecoveryManager::sync(const std::string& initiator,
           continue;  // converged leaf
         bool push;
         if (l.version != m.version) {
-          push = l.version > m.version;  // newest version wins
+          push = newer_version(l.version, m.version);
         } else if (l.authentic != m.authentic) {
           push = l.authentic;  // authentic copy beats bit-rot
         } else {
@@ -452,9 +410,7 @@ SyncReport RecoveryManager::sync(const std::string& initiator,
         if (push) {
           push_file(initiator, peer, l, &rep);
         } else {
-          uint64_t bytes = 0;
-          if (pull_file(initiator, peer, l.fid, &bytes)) ++rep.files_pulled;
-          rep.bytes_transferred += bytes;
+          pull_file(initiator, peer, l.fid, &rep);
         }
       }
     }
@@ -497,109 +453,6 @@ SyncReport RecoveryManager::sync_all() {
     }
   }
   return agg;
-}
-
-// -------------------------------------------------- hinted hand-off --
-
-void RecoveryManager::record_hint(const std::string& holder,
-                                  const std::string& target,
-                                  const std::string& file_id,
-                                  uint64_t version) {
-  Cluster::Node& h = cluster_.node(holder);
-  {
-    std::lock_guard<std::mutex> lock(h.mu);
-    uint64_t& v = h.hints[target][file_id];
-    if (version > v) v = version;
-  }
-  hints_recorded_.fetch_add(1, std::memory_order_relaxed);
-  RecoveryMetrics::get().hints_recorded.inc();
-}
-
-void RecoveryManager::clear_hint(const std::string& target,
-                                 const std::string& holder,
-                                 const std::string& file_id, uint64_t version) {
-  Writer w;
-  w.u8(kHintClear);
-  w.str(target);
-  w.str(file_id);
-  w.u64(version);
-  rpc(target, holder, w.take());
-}
-
-size_t RecoveryManager::drain_hints_for(const std::string& target) {
-  if (!cluster_.alive(target) || cluster_.size() <= 1) return 0;
-  telemetry::Span span =
-      telemetry::Tracer::global().start_span("recovery.drain_hints");
-  if (span.active()) {
-    span.attr("node", target);
-    span.attr("node_id", target);
-  }
-  size_t drained = 0;
-  for (const std::string& holder : cluster_.names_) {
-    if (holder == target || !cluster_.alive(holder)) continue;
-    try {
-      Writer w;
-      w.u8(kHintList);
-      w.str(target);
-      const Bytes reply = rpc(target, holder, w.take());
-      Reader r(reply);
-      const uint32_t count = r.u32();
-      std::vector<std::pair<std::string, uint64_t>> entries(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        entries[i].first = r.str();
-        entries[i].second = r.u64();
-      }
-      r.expect_done();
-      for (const auto& [fid, version] : entries) {
-        if (cluster_.version_of(target, fid) >= version) {
-          clear_hint(target, holder, fid, version);
-          hints_superseded_.fetch_add(1, std::memory_order_relaxed);
-          ++drained;
-          continue;
-        }
-        uint64_t bytes = 0;
-        if (pull_file(target, holder, fid, &bytes)) {
-          hints_replayed_.fetch_add(1, std::memory_order_relaxed);
-          files_transferred_.fetch_add(1, std::memory_order_relaxed);
-          bytes_transferred_.fetch_add(bytes, std::memory_order_relaxed);
-          RecoveryMetrics& m = RecoveryMetrics::get();
-          m.hints_replayed.inc();
-          m.files_transferred.inc();
-          m.bytes_transferred.add(bytes);
-        } else {
-          hints_dropped_.fetch_add(1, std::memory_order_relaxed);
-        }
-        clear_hint(target, holder, fid,
-                   std::max(version, cluster_.version_of(target, fid)));
-        ++drained;
-      }
-    } catch (const TransportError&) {
-      // This holder's hints stay put for a later drain; anti-entropy
-      // covers the files in the meantime.
-      sync_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (span.active()) span.attr("drained", static_cast<uint64_t>(drained));
-  return drained;
-}
-
-size_t RecoveryManager::hint_count(const std::string& target) const {
-  size_t total = 0;
-  for (const auto& n : cluster_.nodes_) {
-    std::lock_guard<std::mutex> lock(n->mu);
-    const auto it = n->hints.find(target);
-    if (it != n->hints.end()) total += it->second.size();
-  }
-  return total;
-}
-
-size_t RecoveryManager::pending_hints() const {
-  size_t total = 0;
-  for (const auto& n : cluster_.nodes_) {
-    std::lock_guard<std::mutex> lock(n->mu);
-    for (const auto& [target, files] : n->hints) total += files.size();
-  }
-  return total;
 }
 
 // ---------------------------------------------- 2PC epoch resolution --
@@ -680,11 +533,10 @@ void RecoveryManager::rejoin(const std::string& name) {
   rejoins_.fetch_add(1, std::memory_order_relaxed);
   RecoveryMetrics::get().rejoins.inc();
   // Order matters: resolve staged epochs first so anti-entropy compares
-  // committed state, then drain the writes that missed this node, then
-  // a scoped sync against each alive peer closes whatever is left
-  // (shed controls, lost repairs, bit-rot).
+  // committed state, then a scoped sync against each alive peer brings
+  // over every shared file that diverged (writes missed while down,
+  // shed controls, lost repairs, bit-rot).
   const size_t resolved = resolve_staged_epochs();
-  const size_t drained = drain_hints_for(name);
   SyncReport agg;
   for (const std::string& peer : cluster_.names_) {
     if (peer == name || !cluster_.alive(peer)) continue;
@@ -696,7 +548,6 @@ void RecoveryManager::rejoin(const std::string& name) {
   }
   if (span.active()) {
     span.attr("epochs_resolved", static_cast<uint64_t>(resolved));
-    span.attr("hints_drained", static_cast<uint64_t>(drained));
     span.attr("files_transferred", agg.files_pushed + agg.files_pulled);
     span.attr("bytes_transferred", agg.bytes_transferred);
   }
@@ -704,10 +555,6 @@ void RecoveryManager::rejoin(const std::string& name) {
 
 RecoveryStats RecoveryManager::stats() const {
   RecoveryStats s;
-  s.hints_recorded = hints_recorded_.load(std::memory_order_relaxed);
-  s.hints_replayed = hints_replayed_.load(std::memory_order_relaxed);
-  s.hints_superseded = hints_superseded_.load(std::memory_order_relaxed);
-  s.hints_dropped = hints_dropped_.load(std::memory_order_relaxed);
   s.syncs = syncs_.load(std::memory_order_relaxed);
   s.sync_rounds = sync_rounds_.load(std::memory_order_relaxed);
   s.shards_divergent = shards_divergent_.load(std::memory_order_relaxed);

@@ -1,6 +1,6 @@
 // Self-healing recovery for the replicated Cluster (DESIGN.md §15).
 //
-// Three protocols, all speaking node-to-node over the same Transport the
+// Two protocols, both speaking node-to-node over the same Transport the
 // data plane uses (so the meter and fault injection see every byte):
 //
 //  * Merkle anti-entropy — each node's store state folds into a per-
@@ -9,13 +9,9 @@
 //    level, root first, and transfers only the files under divergent
 //    leaves. Hashing the *current* bytes (not the recorded write hash)
 //    means silent bit-rot diverges the trees too, so sync survives
-//    corrupt and missing replicas, replacing repair_all()'s O(files)
-//    quorum fetches with O(divergence) transfers.
-//
-//  * Hinted hand-off — when a write sheds or parks for a dead replica,
-//    the coordinator records a typed hint (target, file_id, version).
-//    On rejoin the node drains its hints from every alive holder,
-//    pulling exactly the files written while it was down.
+//    corrupt and missing replicas with O(divergence) transfers. The
+//    newer copy wins by newer_version (replication.h), the rule the
+//    write and read paths use too.
 //
 //  * 2PC epoch resolution — every commit/abort verdict is recorded in a
 //    per-node decision log that (unlike staged state) survives
@@ -24,10 +20,11 @@
 //    any recorded commit wins, otherwise presumed abort. No epoch
 //    stays staged-open forever.
 //
-// `rejoin(node)` (run by Cluster::restart_node) strings the three into
-// one traced sequence: resolve staged epochs, drain hints, then a
-// scoped anti-entropy round against each alive peer — byte-identical
-// state without a full-store scan.
+// `rejoin(node)` (run by Cluster::restart_node) strings the two into
+// one traced sequence: resolve staged epochs, then a scoped
+// anti-entropy round against each alive peer — byte-identical state
+// without a full-store scan. Writes the node missed while down (parked
+// or shed) are among the divergent files that round transfers.
 #pragma once
 
 #include <atomic>
@@ -67,10 +64,6 @@ struct SyncReport {
 
 /// Monotonic counters (snapshot/subtract, ClusterStats style).
 struct RecoveryStats {
-  uint64_t hints_recorded = 0;
-  uint64_t hints_replayed = 0;    ///< hinted files pulled and applied
-  uint64_t hints_superseded = 0;  ///< cleared: local copy already as new
-  uint64_t hints_dropped = 0;     ///< cleared: holder no longer had the file
   uint64_t syncs = 0;             ///< pairwise anti-entropy sessions
   uint64_t sync_rounds = 0;       ///< tree-level exchanges across sessions
   uint64_t shards_divergent = 0;
@@ -79,7 +72,7 @@ struct RecoveryStats {
   uint64_t epochs_resolved_commit = 0;
   uint64_t epochs_resolved_abort = 0;
   uint64_t rejoins = 0;
-  uint64_t sync_failures = 0;  ///< sessions/drains lost to transport faults
+  uint64_t sync_failures = 0;  ///< sessions lost to transport faults
 };
 
 class RecoveryManager {
@@ -99,24 +92,9 @@ class RecoveryManager {
   /// in-flight transport faults propagate.
   SyncReport sync(const std::string& initiator, const std::string& peer);
   /// Every alive pair, tolerating per-pair transport failures (counted
-  /// in stats().sync_failures). The operator-facing repair_all()
-  /// replacement: O(divergence) transfers instead of O(files) reads.
+  /// in stats().sync_failures). The operator-facing repair: O(divergence)
+  /// transfers, no quorum reads.
   SyncReport sync_all();
-
-  // ---- Hinted hand-off -----------------------------------------------
-  /// Records at `holder` that `target` missed (file_id, version). Called
-  /// by the write paths when a fan-out parks or sheds.
-  void record_hint(const std::string& holder, const std::string& target,
-                   const std::string& file_id, uint64_t version);
-  /// Rejoining side: pull every hinted file from every alive holder and
-  /// clear the served hints. Returns hints drained (replayed, superseded
-  /// or dropped). Per-holder transport failures leave that holder's
-  /// hints for a later drain.
-  size_t drain_hints_for(const std::string& target);
-  /// Hints currently held for `target`, across all holders.
-  size_t hint_count(const std::string& target) const;
-  /// All hints across all holders and targets.
-  size_t pending_hints() const;
 
   // ---- 2PC epoch resolution ------------------------------------------
   /// Resolves every staged-open epoch on every alive node: query alive
@@ -127,9 +105,9 @@ class RecoveryManager {
 
   // ---- Rejoin orchestration ------------------------------------------
   /// The restart_node recovery sequence, linked under one
-  /// "recovery.rejoin" span: resolve staged epochs, drain this node's
-  /// hints, scoped anti-entropy against each alive peer. No full-store
-  /// scan and no quorum reads.
+  /// "recovery.rejoin" span: resolve staged epochs, then scoped
+  /// anti-entropy against each alive peer. No full-store scan and no
+  /// quorum reads.
   void rejoin(const std::string& name);
 
   RecoveryStats stats() const;
@@ -152,10 +130,8 @@ class RecoveryManager {
                        uint64_t sync_id);
   void push_file(const std::string& from, const std::string& to,
                  const ShardLeaf& leaf, SyncReport* rep);
-  bool pull_file(const std::string& to, const std::string& from,
-                 const std::string& file_id, uint64_t* bytes);
-  void clear_hint(const std::string& target, const std::string& holder,
-                  const std::string& file_id, uint64_t version);
+  void pull_file(const std::string& to, const std::string& from,
+                 const std::string& file_id, SyncReport* rep);
 
   Cluster& cluster_;
 
@@ -163,10 +139,6 @@ class RecoveryManager {
   std::map<std::string, std::unique_ptr<Session>> sessions_;  // responder → latest
   std::atomic<uint64_t> next_sync_id_{0};
 
-  std::atomic<uint64_t> hints_recorded_{0};
-  std::atomic<uint64_t> hints_replayed_{0};
-  std::atomic<uint64_t> hints_superseded_{0};
-  std::atomic<uint64_t> hints_dropped_{0};
   std::atomic<uint64_t> syncs_{0};
   std::atomic<uint64_t> sync_rounds_{0};
   std::atomic<uint64_t> shards_divergent_{0};

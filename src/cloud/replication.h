@@ -1,6 +1,9 @@
 // Asynchronous replication plumbing for the cluster (DESIGN.md §13).
 //
-// Two pieces:
+// Three pieces:
+//
+//  * Copy versions: how a write and a re-encryption advance a copy's
+//    version, and the one rule that orders two copies.
 //
 //  * Wire formats for the node-to-node protocol: ReplicationOp (a
 //    versioned copy of a stored file, fanned out from the coordinator
@@ -30,6 +33,26 @@
 #include "telemetry/trace.h"
 
 namespace maabe::cloud {
+
+// --------------------------------------------------- copy versions --
+//
+// Every copy of a file carries one u64 version. The high 32 bits count
+// the file's writes; the low 32 bits count the re-encryptions applied
+// to that write since. A store starts the next write at re-encryption
+// 0 and an epoch commit adds one re-encryption, so compared as one
+// number a re-encryption of an older write never orders after a newer
+// write: a replica whose parked epochs re-encrypt its old copy cannot
+// outrank the newer copy replicated to it behind them. The wire
+// formats below carry the version as that one u64.
+
+/// Version of the next write after a copy at `v`.
+constexpr uint64_t next_write_version(uint64_t v) { return ((v >> 32) + 1) << 32; }
+/// Version of a copy at `v` after one more re-encryption.
+constexpr uint64_t next_reencrypt_version(uint64_t v) { return v + 1; }
+/// The one "which copy is newer" rule, shared by replication applies,
+/// the quorum-read winner, the Merkle merge and the restart prunes of
+/// parked ops.
+constexpr bool newer_version(uint64_t a, uint64_t b) { return a > b; }
 
 // ---------------------------------------------------- wire formats --
 

@@ -78,8 +78,6 @@ CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
         snap.add_gauge("maabe_cluster_nodes_alive", static_cast<int64_t>(cs.alive));
         snap.add_gauge("maabe_cluster_replication_lag",
                        static_cast<int64_t>(replication_lag()));
-        snap.add_gauge("maabe_recovery_hints_pending",
-                       static_cast<int64_t>(cluster_.recovery().pending_hints()));
       });
 }
 

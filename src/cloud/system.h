@@ -15,9 +15,11 @@
 // routed over the consistent-hash ring to the first alive replica,
 // writes replicate asynchronously through per-node op queues, reads are
 // quorum reads with read-repair, and revocation epochs are cluster-wide
-// two-phase commits. The default single-node cluster behaves exactly
-// like the PR 3 single server. Canonical entity names used for channels
-// and metering:
+// two-phase commits. A restarted node rejoins through the cluster's
+// recovery protocols (DESIGN.md §15): 2PC epoch resolution, then Merkle
+// anti-entropy against each alive peer. The default single-node cluster
+// behaves exactly like one unreplicated server. Canonical entity names
+// used for channels and metering:
 //   "ca", "aa:<AID>", "owner:<id>", "user:<UID>",
 //   "server" (single-node cluster) or "node:<i>" (multi-node).
 #pragma once

@@ -252,44 +252,10 @@ struct CryptoEngine::LruCache {
 
 // --------------------------------------------------------- CryptoEngine --
 
-// ----------------------------------------------------------- StatCells --
-
-/// Per-engine stat store behind a seqlock: commit_stats() bumps the
-/// sequence to odd, applies every field, then bumps back to even;
-/// stats() retries until it reads the same even sequence on both sides
-/// of the field loads. All accesses are atomics (TSan-clean); the
-/// write mutex serializes committers so the odd window stays short.
-struct CryptoEngine::StatCells {
-  std::mutex write_mu;
-  std::atomic<uint64_t> seq{0};
-  std::atomic<uint64_t> pairings{0}, g1_exps{0}, gt_exps{0}, miller_loops{0},
-      final_exps{0}, batches{0}, tasks{0}, table_builds{0}, table_hits{0},
-      precomp_builds{0}, precomp_hits{0}, wall_ns{0};
-};
-
 void CryptoEngine::commit_stats(const EngineStats& d) {
-  StatCells& c = *stat_cells_;
   {
-    std::lock_guard<std::mutex> lk(c.write_mu);
-    const uint64_t s = c.seq.load(std::memory_order_relaxed);
-    c.seq.store(s + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    const auto bump = [](std::atomic<uint64_t>& f, uint64_t v) {
-      f.store(f.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
-    };
-    bump(c.pairings, d.pairings);
-    bump(c.g1_exps, d.g1_exps);
-    bump(c.gt_exps, d.gt_exps);
-    bump(c.miller_loops, d.miller_loops);
-    bump(c.final_exps, d.final_exps);
-    bump(c.batches, d.batches);
-    bump(c.tasks, d.tasks);
-    bump(c.table_builds, d.table_builds);
-    bump(c.table_hits, d.table_hits);
-    bump(c.precomp_builds, d.precomp_builds);
-    bump(c.precomp_hits, d.precomp_hits);
-    bump(c.wall_ns, d.wall_ns);
-    c.seq.store(s + 2, std::memory_order_release);
+    std::lock_guard<std::mutex> lk(stats_mu_);
+    stats_ += d;
   }
   EngineMetrics& m = EngineMetrics::get();
   if (d.pairings) m.pairings.add(d.pairings);
@@ -406,8 +372,7 @@ void CryptoEngine::release_items(size_t items) {
 // --------------------------------------------------------- construction --
 
 CryptoEngine::CryptoEngine(const Group& grp, int threads)
-    : grp_(&grp), threads_(1), cache_(std::make_unique<LruCache>()),
-      stat_cells_(std::make_unique<StatCells>()) {
+    : grp_(&grp), threads_(1), cache_(std::make_unique<LruCache>()) {
   set_threads(threads);
 }
 
@@ -760,43 +725,8 @@ std::vector<GT> CryptoEngine::egg_pow_batch(const std::vector<Zr>& exps) {
 }
 
 EngineStats CryptoEngine::stats() const {
-  const StatCells& c = *stat_cells_;
-  for (;;) {
-    const uint64_t s1 = c.seq.load(std::memory_order_acquire);
-    if ((s1 & 1) == 0) {
-      EngineStats out;
-      out.pairings = c.pairings.load(std::memory_order_relaxed);
-      out.g1_exps = c.g1_exps.load(std::memory_order_relaxed);
-      out.gt_exps = c.gt_exps.load(std::memory_order_relaxed);
-      out.miller_loops = c.miller_loops.load(std::memory_order_relaxed);
-      out.final_exps = c.final_exps.load(std::memory_order_relaxed);
-      out.batches = c.batches.load(std::memory_order_relaxed);
-      out.tasks = c.tasks.load(std::memory_order_relaxed);
-      out.table_builds = c.table_builds.load(std::memory_order_relaxed);
-      out.table_hits = c.table_hits.load(std::memory_order_relaxed);
-      out.precomp_builds = c.precomp_builds.load(std::memory_order_relaxed);
-      out.precomp_hits = c.precomp_hits.load(std::memory_order_relaxed);
-      out.wall_ns = c.wall_ns.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (c.seq.load(std::memory_order_relaxed) == s1) return out;
-    }
-    std::this_thread::yield();
-  }
-}
-
-void CryptoEngine::reset_stats() {
-  StatCells& c = *stat_cells_;
-  std::lock_guard<std::mutex> lk(c.write_mu);
-  const uint64_t s = c.seq.load(std::memory_order_relaxed);
-  c.seq.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (std::atomic<uint64_t>* f :
-       {&c.pairings, &c.g1_exps, &c.gt_exps, &c.miller_loops, &c.final_exps,
-        &c.batches, &c.tasks, &c.table_builds, &c.table_hits,
-        &c.precomp_builds, &c.precomp_hits, &c.wall_ns}) {
-    f->store(0, std::memory_order_relaxed);
-  }
-  c.seq.store(s + 2, std::memory_order_release);
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  return stats_;
 }
 
 }  // namespace maabe::engine

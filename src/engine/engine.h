@@ -179,17 +179,16 @@ class CryptoEngine {
 
   // ---- Accounting --------------------------------------------------
   /// Coherent snapshot: every batch commits its counters, wall time and
-  /// batch count as one atomic unit (seqlock), so a snapshot taken
-  /// while batches run never shows a half-recorded batch (e.g. its
-  /// pairings without its wall_ns). The same deltas feed the global
-  /// telemetry::MetricsRegistry under maabe_engine_* names.
+  /// batch count under one mutex hold, and stats() copies them under the
+  /// same mutex, so a snapshot taken while batches run never shows a
+  /// half-recorded batch (e.g. its pairings without its wall_ns). The
+  /// same deltas feed the global telemetry::MetricsRegistry under
+  /// maabe_engine_* names.
   EngineStats stats() const;
-  void reset_stats();
 
  private:
   struct Pool;
   struct LruCache;
-  struct StatCells;  // seqlock-guarded per-engine stat store (engine.cpp)
   class BatchScope;  // RAII per-batch delta accumulator (engine.cpp)
   class AdmissionTicket;  // RAII admit/release around a batch (engine.cpp)
 
@@ -210,15 +209,16 @@ class CryptoEngine {
   /// Window-table builds spread over run_items without waiting for the
   /// pool; empty (the serial build) when the engine has no pool.
   pairing::ParallelFor table_builder();
-  /// Applies a delta to the per-engine seqlock store and mirrors it
-  /// into the global metrics registry.
+  /// Adds a delta to the per-engine totals and mirrors it into the
+  /// global metrics registry.
   void commit_stats(const EngineStats& delta);
 
   const pairing::Group* grp_;
   int threads_;
   std::unique_ptr<Pool> pool_;        // created lazily; null when threads_ == 1
   std::unique_ptr<LruCache> cache_;   // variable-base window tables
-  std::unique_ptr<StatCells> stat_cells_;
+  mutable std::mutex stats_mu_;       // guards stats_
+  EngineStats stats_;
   std::atomic<size_t> admission_limit_{0};  // 0 = unbounded
   std::atomic<size_t> inflight_items_{0};
   std::atomic<uint64_t> sheds_{0};

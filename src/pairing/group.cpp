@@ -176,22 +176,6 @@ Bytes G1::to_bytes() const {
   return out;
 }
 
-Bytes G1::to_bytes_uncompressed() const {
-  if (g_ == nullptr) throw MathError("G1::to_bytes_uncompressed: uninitialized element");
-  const FpCtx& fq = g_->ctx().fq();
-  Bytes out;
-  if (pt_.inf) {
-    out.assign(2 * fq.byte_length(), 0);
-    out.push_back(2);  // infinity marker
-    return out;
-  }
-  out = fq.to_bytes(pt_.x);
-  const Bytes yb = fq.to_bytes(pt_.y);
-  out.insert(out.end(), yb.begin(), yb.end());
-  out.push_back(0);
-  return out;
-}
-
 // ---------------------------------------------------------------- GT --
 
 bool GT::is_one() const {
@@ -344,7 +328,6 @@ std::shared_ptr<const Group> Group::create(const TypeAParams& params) {
 
 size_t Group::zr_size() const { return (order().bit_length() + 7) / 8; }
 size_t Group::g1_size() const { return ctx_.fq().byte_length() + 1; }
-size_t Group::g1_uncompressed_size() const { return 2 * ctx_.fq().byte_length() + 1; }
 size_t Group::gt_size() const { return 2 * ctx_.fq().byte_length(); }
 
 Zr Group::zr_from_u64(uint64_t v) const {
@@ -424,26 +407,6 @@ G1 Group::g1_from_bytes(ByteView data) const {
   if (!ctx_.curve().lift_x(x, &y)) throw WireError("g1_from_bytes: x not on curve");
   if (fq.is_odd(y) != (flag == 1)) y = fq.neg(y);
   return G1(this, {x, y, false});
-}
-
-G1 Group::g1_from_bytes_uncompressed(ByteView data) const {
-  if (data.size() != g1_uncompressed_size())
-    throw WireError("g1_from_bytes_uncompressed: bad length");
-  const FpCtx& fq = ctx_.fq();
-  const size_t half = fq.byte_length();
-  const uint8_t flag = data[data.size() - 1];
-  if (flag == 2) {
-    for (size_t i = 0; i + 1 < data.size(); ++i)
-      if (data[i] != 0)
-        throw WireError("g1_from_bytes_uncompressed: malformed infinity encoding");
-    return g1_identity();
-  }
-  if (flag != 0) throw WireError("g1_from_bytes_uncompressed: bad flag");
-  const AffinePoint pt{fq.from_bytes(data.subspan(0, half)),
-                       fq.from_bytes(data.subspan(half, half)), false};
-  if (!ctx_.curve().is_on_curve(pt))
-    throw WireError("g1_from_bytes_uncompressed: point not on curve");
-  return G1(this, pt);
 }
 
 GT Group::gt_random(crypto::Drbg& rng) const {

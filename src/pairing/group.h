@@ -90,10 +90,6 @@ class G1 {
   friend bool operator!=(const G1& a, const G1& b) { return !(a == b); }
 
   Bytes to_bytes() const;
-  /// Uncompressed encoding x || y || flag (2|q|+1 bytes). Twice the size
-  /// of to_bytes() but decodable without a field square root. The wire
-  /// protocol uses the compressed form throughout.
-  Bytes to_bytes_uncompressed() const;
 
  private:
   friend class Group;
@@ -186,7 +182,6 @@ class Group {
   // Serialized element sizes in bytes.
   size_t zr_size() const;
   size_t g1_size() const;
-  size_t g1_uncompressed_size() const;
   size_t gt_size() const;
 
   // ---- Zr ----------------------------------------------------------
@@ -215,10 +210,6 @@ class Group {
   G1 hash_to_g1(ByteView data) const;
   G1 hash_to_g1(std::string_view s) const;
   G1 g1_from_bytes(ByteView data) const;
-  /// Decodes the x || y || flag form. Validates the curve equation
-  /// (cheap) instead of re-deriving y by square root; like
-  /// g1_from_bytes, the result is on-curve but not subgroup-checked.
-  G1 g1_from_bytes_uncompressed(ByteView data) const;
 
   // ---- GT ----------------------------------------------------------
   GT gt_one() const { return GT(this, ctx_.fq2().one()); }

@@ -6,6 +6,8 @@
 //   3. Reads fail closed (typed) while an epoch is parked, and fail
 //      typed when a quorum cannot be met.
 //   4. A corrupt replica loses the quorum read and gets repaired.
+//   5. An acknowledged store is never lost to a re-encryption of an
+//      older copy, however the two reach a replica.
 // Registered under the `chaos` ctest label.
 #include <gtest/gtest.h>
 
@@ -400,6 +402,52 @@ TEST(ClusterTest, RestartReconcilesStaleGaugesAndPrunesSupersededOps) {
   EXPECT_TRUE(sys->download_report("alice", fx).all_ok());
 }
 
+// Invariant 5. With node:1 down every revocation epoch aborts and parks
+// at the epoch coordinator node:0, and the replication of later stores
+// from a file's primary node:2 queues behind those epochs. On replay
+// each epoch re-encrypts node:0's old copy; the stores replicated after
+// them must still win, on node:0 and in the quorum read.
+TEST(ClusterChaos, StoresQueuedBehindAbortedEpochsSurviveRejoin) {
+  auto sys = make_system(Group::test_small(), 3, 2);
+  enroll(*sys);
+  constexpr int kRevocations = 4;
+  for (int i = 0; i < kRevocations; ++i) {
+    const std::string uid = "u" + std::to_string(i);
+    sys->add_user(uid);
+    sys->assign_attributes("Med", uid, {"Doctor"});
+    sys->issue_user_key("Med", uid, "hosp");
+  }
+  std::string fx;
+  for (int i = 0; i < 64 && fx.empty(); ++i) {
+    const std::string f = "f" + std::to_string(i);
+    if (sys->cluster().replicas_for(f) == std::vector<std::string>{"node:2", "node:0"})
+      fx = f;
+  }
+  ASSERT_FALSE(fx.empty());
+  upload_all(*sys, {fx});
+  ASSERT_EQ(sys->flush_pending(), 0u);
+
+  sys->cluster().kill_node("node:1");
+  ASSERT_EQ(sys->cluster().coordinator(), "node:0");
+  for (int i = 0; i < kRevocations; ++i)
+    sys->revoke_attribute("Med", "u" + std::to_string(i), "Doctor");
+  EXPECT_EQ(sys->health().pending_by_destination.at("node:0"),
+            static_cast<size_t>(kRevocations));
+  const Bytes last = bytes_of("v3 " + fx);
+  sys->upload("hosp", fx, {{"b", bytes_of("v2 " + fx), "Doctor@Med"}});
+  sys->upload("hosp", fx, {{"c", last, "Doctor@Med"}});
+  EXPECT_GT(sys->health().pending_by_destination.at("node:0"),
+            static_cast<size_t>(kRevocations));
+
+  sys->cluster().restart_node("node:1");
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  const CloudSystem::DownloadReport report = sys->download_report("alice", fx);
+  ASSERT_TRUE(report.all_ok());
+  ASSERT_EQ(report.opened().count("c"), 1u);
+  EXPECT_EQ(report.opened().at("c"), last);
+  expect_replicas_converged(*sys, {fx});
+}
+
 // ------------------------------------------- fault-injected soak sweep --
 
 FaultSpec cluster_chaos() {
@@ -455,7 +503,7 @@ Bytes run_chaos_sweep(std::shared_ptr<const Group> grp, uint64_t fault_seed) {
   sys->revoke_attribute("Med", "bob", "Doctor");
   EXPECT_TRUE(ensure(*sys, [] {}, [&] { return sys->flush_pending() == 0; }))
       << "seed " << fault_seed << ": revocation never drained";
-  sys->cluster().repair_all();
+  sys->cluster().recovery().sync_all();
   EXPECT_TRUE(ensure(*sys, [] {}, [&] { return sys->flush_pending() == 0; }));
 
   for (const std::string& f : files) {

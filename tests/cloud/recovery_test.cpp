@@ -5,7 +5,7 @@
 //      only the divergent files — a converged pair moves nothing, and a
 //      corrupt replica is restored from the authentic copy.
 //   2. A node killed mid-workload rejoins byte-identically through
-//      hinted hand-off + scoped anti-entropy alone: no full-store scan
+//      epoch resolution + scoped anti-entropy alone: no full-store scan
 //      and zero quorum reads, moving less than a full snapshot.
 //   3. A 2PC epoch whose coordinator dies between stage and commit
 //      resolves on the survivors (presumed abort when no decision was
@@ -13,8 +13,6 @@
 //      stays staged-open.
 //   4. snapshot() never pairs a file's bytes with another version's
 //      metadata while writers run (torn-read regression, TSan-backed).
-//   5. repair_all() still attempts files whose coordinator is dead by
-//      falling back along the ring preference order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -167,9 +165,9 @@ TEST(RecoveryTest, SyncRefusesDeadPeer) {
                TransportError);
 }
 
-// ------------------------------------------------- hinted hand-off --
+// --------------------------------------- writes missed while down --
 
-TEST(RecoveryTest, HintsRecordedForDeadReplicaAndDrainedOnRejoin) {
+TEST(RecoveryTest, RejoinAloneHealsWritesMissedWhileDown) {
   auto sys = make_system(Group::test_small(), 3, 2);
   enroll(*sys);
   const std::vector<std::string> files = eight_files();
@@ -181,20 +179,19 @@ TEST(RecoveryTest, HintsRecordedForDeadReplicaAndDrainedOnRejoin) {
   sys->cluster().kill_node("node:1");
   sys->upload("hosp", fx, {{"b", bytes_of("v2 " + fx), "Doctor@Med"}});
   sys->upload("hosp", fx, {{"c", bytes_of("v3 " + fx), "Doctor@Med"}});
+  EXPECT_GT(sys->health("node:1").replication_lag, 0u);
 
+  // The rejoin's anti-entropy brings the two missed writes over before
+  // any parked op replays, and the restart prunes the parked ops it
+  // made redundant.
   RecoveryManager& rec = sys->cluster().recovery();
-  EXPECT_GE(rec.hint_count("node:1"), 1u);  // one hint at the max version
-  EXPECT_GE(rec.pending_hints(), 1u);
   const RecoveryStats before = rec.stats();
-  EXPECT_GE(before.hints_recorded, 2u);  // both parked writes left one
-
   sys->cluster().restart_node("node:1");
-  EXPECT_EQ(rec.hint_count("node:1"), 0u);
-  EXPECT_EQ(rec.pending_hints(), 0u);
   const RecoveryStats after = rec.stats();
-  EXPECT_GE(after.hints_replayed, before.hints_replayed + 1);
-  EXPECT_EQ(sys->flush_pending(), 0u);
+  EXPECT_GE(after.files_transferred, before.files_transferred + 1);
+  EXPECT_EQ(sys->health("node:1").replication_lag, 0u);
   expect_replicas_converged(*sys, files);
+  EXPECT_EQ(sys->flush_pending(), 0u);
   EXPECT_TRUE(sys->download_report("alice", fx).all_ok());
 }
 
@@ -222,7 +219,7 @@ TEST(RecoveryChaos, KilledNodeRejoinsByteIdenticallyWithoutFullScan) {
   EXPECT_EQ(sys->replication_lag(), 0u);
   expect_replicas_converged(*sys, files);
 
-  // Convergence came from hints + anti-entropy alone: the rejoin issued
+  // Convergence came from the rejoin's anti-entropy: it issued
   // zero quorum reads (the full-scan repair path), and moved strictly
   // less than the node's full store.
   const ClusterStats cluster_after = sys->cluster().stats();
@@ -230,7 +227,7 @@ TEST(RecoveryChaos, KilledNodeRejoinsByteIdenticallyWithoutFullScan) {
   EXPECT_EQ(cluster_after.quorum_failures, cluster_before.quorum_failures);
   const RecoveryStats rec_after = sys->cluster().recovery().stats();
   EXPECT_GE(rec_after.rejoins, rec_before.rejoins + 1);
-  EXPECT_GE(rec_after.hints_replayed, rec_before.hints_replayed + 1);
+  EXPECT_GE(rec_after.files_transferred, rec_before.files_transferred + 1);
   const uint64_t moved = rec_after.bytes_transferred - rec_before.bytes_transferred;
   EXPECT_GT(moved, 0u);
   EXPECT_LT(moved, sys->cluster().snapshot("node:1").size());
@@ -260,7 +257,7 @@ TEST(RecoveryChaos, WorkloadKillAndRejoinConvergesUnderTraffic) {
 
   EXPECT_EQ(report.rejoins, 1u);
   EXPECT_GT(report.recovery_convergence_ms, 0.0);
-  EXPECT_GE(report.recovery_hints_replayed, 1u);
+  EXPECT_GE(report.recovery_files_transferred, 1u);
   EXPECT_GT(report.recovery_bytes_transferred, 0u);
   EXPECT_EQ(gen.system().flush_pending(), 0u);
   EXPECT_EQ(gen.system().replication_lag(), 0u);
@@ -399,6 +396,13 @@ TEST(RecoveryTest, SnapshotNeverTearsVersionFromBytes) {
     wires.push_back(serialize(sys->group(), variant));
   }
   const Bytes initial = serialize(sys->group(), *c.node_store(coord).fetch("tf"));
+  // handle_store gives wires[0], [1], ... the next write versions after
+  // base, in order.
+  std::vector<uint64_t> versions;
+  for (uint64_t v = base; versions.size() < kVersions;) {
+    v = next_write_version(v);
+    versions.push_back(v);
+  }
 
   std::atomic<bool> done{false};
   std::atomic<size_t> torn{0};
@@ -412,11 +416,12 @@ TEST(RecoveryTest, SnapshotNeverTearsVersionFromBytes) {
         const uint64_t version = r.u64();
         const Bytes bytes = r.var_bytes();
         if (id != "tf") continue;
-        // handle_store assigns base+1, base+2, ... to wires[0], [1], ...
-        // under the same mutex hold that stores the bytes; any other
-        // pairing is a torn read.
+        // handle_store assigns versions[i] to wires[i] under the same
+        // mutex hold that stores the bytes; any other pairing is a torn
+        // read.
+        const auto at = std::find(versions.begin(), versions.end(), version);
         const Bytes& want =
-            version == base ? initial : wires.at(version - base - 1);
+            version == base ? initial : wires.at(at - versions.begin());
         if (bytes != want) torn.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -425,39 +430,8 @@ TEST(RecoveryTest, SnapshotNeverTearsVersionFromBytes) {
   done.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(c.version_of(coord, "tf"), base + kVersions);
+  EXPECT_EQ(c.version_of(coord, "tf"), versions.back());
   sys->flush_pending();
-}
-
-// ----------------------------------------------- repair_all fallback --
-
-TEST(RecoveryTest, RepairAllAttemptsFilesWhoseCoordinatorIsDead) {
-  auto sys = make_system(Group::test_small(), 3, 2);
-  enroll(*sys);
-  const std::vector<std::string> files = eight_files();
-  upload_all(*sys, files);
-  ASSERT_EQ(sys->flush_pending(), 0u);
-
-  // Kill a node that is primary for at least one file: the old
-  // repair_all skipped those files outright; now the next alive node in
-  // preference order runs the read, whose quorum failure is counted
-  // (R=2 majority needs both replicas).
-  std::string victim;
-  for (const std::string& name : sys->cluster().node_names()) {
-    for (const std::string& f : files) {
-      if (sys->cluster().route_for(f) == name) {
-        victim = name;
-        break;
-      }
-    }
-    if (!victim.empty()) break;
-  }
-  ASSERT_FALSE(victim.empty());
-  sys->cluster().kill_node(victim);
-
-  const uint64_t failures_before = sys->cluster().stats().quorum_failures;
-  sys->cluster().repair_all();
-  EXPECT_GT(sys->cluster().stats().quorum_failures, failures_before);
 }
 
 }  // namespace

@@ -93,6 +93,21 @@ TEST(HashRingTest, AddingANodeMovesOnlyAFractionOfKeys) {
   EXPECT_LT(moved, keys / 2);
 }
 
+// ----------------------------------------------------- copy versions --
+
+TEST(CopyVersionTest, ReencryptionsOfAnOlderWriteNeverOutrankANewerWrite) {
+  const uint64_t first = next_write_version(0);
+  const uint64_t second = next_write_version(first);
+  uint64_t reencrypted = first;
+  for (int i = 0; i < 1000; ++i) reencrypted = next_reencrypt_version(reencrypted);
+  EXPECT_TRUE(newer_version(reencrypted, first));
+  EXPECT_TRUE(newer_version(second, reencrypted));
+  // A write after re-encryptions starts the next write afresh.
+  EXPECT_EQ(next_write_version(reencrypted), second);
+  EXPECT_TRUE(newer_version(next_reencrypt_version(second), second));
+  EXPECT_FALSE(newer_version(second, second));
+}
+
 // ------------------------------------------------------ wire formats --
 
 TEST(ReplicationWireTest, OpRoundTrip) {

@@ -290,8 +290,13 @@ TEST_F(EngineTest, StatsCountOpsAndPhasesDiff) {
   EXPECT_EQ(delta.pairings, 3u);
   EXPECT_EQ(delta.g1_exps, 2u);
   EXPECT_EQ(delta.batches, 2u);
-  eng.reset_stats();
-  EXPECT_EQ(eng.stats().pairings, 0u);
+  // A later phase diffs against its own start, not against zero.
+  const EngineStats mid = eng.stats();
+  (void)eng.pairing_product({terms.front()});
+  const EngineStats phase2 = eng.stats() - mid;
+  EXPECT_EQ(phase2.pairings, 1u);
+  EXPECT_EQ(phase2.g1_exps, 0u);
+  EXPECT_EQ(phase2.batches, 1u);
 }
 
 TEST_F(EngineTest, SetThreadsResizesAndStaysCorrect) {
@@ -313,10 +318,6 @@ TEST_F(EngineTest, ForGroupReturnsSameEnginePerGroup) {
   EXPECT_EQ(&a, &b);
 }
 
-// Snapshot coherency regression: stats() must never tear. Counters
-// commit atomically per batch (seqlock), so under a concurrent batch
-// workload every snapshot satisfies the exact per-batch arithmetic —
-// a torn read (e.g. g1_exps updated but batches not yet) breaks it.
 TEST_F(EngineTest, ParallelForAllRunsEveryItemAndRethrowsTheFirstInIndexOrder) {
   for (const int threads : {1, 4}) {
     CryptoEngine eng(*grp, threads);
@@ -388,6 +389,10 @@ TEST_F(EngineTest, TableBuildsWhileThePoolIsBusyStayExact) {
   EXPECT_GE(eng.stats().table_builds, 24u);
 }
 
+// Snapshot coherency regression: stats() must never tear. Counters
+// commit per batch under one mutex hold, so under a concurrent batch
+// workload every snapshot satisfies the exact per-batch arithmetic —
+// a torn read (e.g. g1_exps updated but batches not yet) breaks it.
 TEST_F(EngineTest, StatsSnapshotsNeverTearUnderConcurrentBatches) {
   CryptoEngine eng(*grp, 2);
   constexpr size_t kBatchSize = 3;

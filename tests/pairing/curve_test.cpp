@@ -105,34 +105,6 @@ TEST_F(CurveTest, SerializationNegatesWithSignBit) {
   EXPECT_EQ(grp->g1_from_bytes(b), p.neg());
 }
 
-TEST_F(CurveTest, UncompressedSerializationRoundTrip) {
-  for (int i = 0; i < 10; ++i) {
-    const G1 p = grp->g1_random(rng);
-    const Bytes b = p.to_bytes_uncompressed();
-    EXPECT_EQ(b.size(), grp->g1_uncompressed_size());
-    EXPECT_EQ(grp->g1_from_bytes_uncompressed(b), p);
-  }
-  const Bytes id = grp->g1_identity().to_bytes_uncompressed();
-  EXPECT_EQ(id.size(), grp->g1_uncompressed_size());
-  EXPECT_TRUE(grp->g1_from_bytes_uncompressed(id).is_identity());
-}
-
-TEST_F(CurveTest, UncompressedDeserializationRejectsMalformed) {
-  const G1 p = grp->g1_random(rng);
-  const Bytes good = p.to_bytes_uncompressed();
-  EXPECT_THROW(grp->g1_from_bytes_uncompressed(Bytes(good.size() - 1)), WireError);
-  Bytes flag = good;
-  flag.back() = 1;  // only 0 (point) and 2 (infinity) are valid
-  EXPECT_THROW(grp->g1_from_bytes_uncompressed(flag), WireError);
-  Bytes off = good;
-  off[good.size() / 2] ^= 0x5a;  // break y: (x, y) leaves the curve
-  EXPECT_THROW(grp->g1_from_bytes_uncompressed(off), WireError);
-  Bytes inf(grp->g1_uncompressed_size(), 0);
-  inf.back() = 2;
-  inf[0] = 1;  // nonzero coordinate bytes in an infinity encoding
-  EXPECT_THROW(grp->g1_from_bytes_uncompressed(inf), WireError);
-}
-
 TEST_F(CurveTest, DeserializationRejectsMalformed) {
   EXPECT_THROW(grp->g1_from_bytes(Bytes(grp->g1_size() - 1)), WireError);
   Bytes bad(grp->g1_size(), 0);
@@ -172,9 +144,9 @@ TEST_F(CurveTest, UninitializedElementsRejected) {
   EXPECT_THROW((void)z.to_bytes(), MathError);
 }
 
-// The three decoder-side checks — g1_from_bytes, the uncompressed
-// decoder and in_subgroup — reject exactly the inputs they rejected
-// before the field layer moved to fixed-width limbs. Every input is
+// The decoder-side checks — g1_from_bytes and in_subgroup — reject
+// exactly the inputs they rejected before the field layer moved to
+// fixed-width limbs. Every input is
 // built from bytes and plain Bignum arithmetic (no field-layer calls),
 // at both curve sizes.
 class G1DecoderChecks : public ::testing::TestWithParam<bool> {
@@ -196,14 +168,6 @@ class G1DecoderChecks : public ::testing::TestWithParam<bool> {
     out.push_back(flag);
     return out;
   }
-  Bytes uncompressed(const Bignum& x, const Bignum& y) const {
-    Bytes out = x.to_bytes_be(width);
-    const Bytes yb = y.to_bytes_be(width);
-    out.insert(out.end(), yb.begin(), yb.end());
-    out.push_back(0);
-    return out;
-  }
-
   std::shared_ptr<const Group> grp;
   Bignum q;
   size_t width;
@@ -241,31 +205,18 @@ TEST_P(G1DecoderChecks, RejectMalformedOffCurveAndAcceptCosetPoints) {
   EXPECT_THROW(grp->g1_from_bytes(Bytes(grp->g1_size(), 0xff)), WireError);
   EXPECT_TRUE(grp->g1_from_bytes(compressed(Bignum(), 2)).is_identity());
 
-  // ---- uncompressed: x || y || flag
-  EXPECT_THROW(grp->g1_from_bytes_uncompressed(Bytes(grp->g1_uncompressed_size() + 1)),
-               WireError);
-  Bytes flag1 = uncompressed(on_x, on_y);
-  flag1.back() = 1;
-  EXPECT_THROW(grp->g1_from_bytes_uncompressed(flag1), WireError);
-  EXPECT_THROW(grp->g1_from_bytes_uncompressed(uncompressed(q, on_y)), WireError);
-  EXPECT_THROW(grp->g1_from_bytes_uncompressed(uncompressed(on_x, q)), WireError);
-  const Bignum y_plus_1 = Bignum::mod_add(on_y, Bignum::from_u64(1), q);
-  EXPECT_THROW(grp->g1_from_bytes_uncompressed(uncompressed(on_x, y_plus_1)), WireError);
-  EXPECT_THROW(grp->g1_from_bytes_uncompressed(uncompressed(off_x, on_y)), WireError);
-
-  // ---- on-curve coset points decode (both forms, both signs) but fail
-  // the subgroup check; the two encodings agree.
+  // ---- on-curve coset points decode (both signs) but fail the
+  // subgroup check; each re-encodes to the bytes it came from.
   const G1 c0 = grp->g1_from_bytes(compressed(on_x, 0));
   const G1 c1 = grp->g1_from_bytes(compressed(on_x, 1));
-  const G1 u = grp->g1_from_bytes_uncompressed(uncompressed(on_x, on_y));
   EXPECT_EQ(c0, c1.neg());
-  EXPECT_EQ(u, on_y.is_odd() ? c1 : c0);
-  EXPECT_EQ(u.to_bytes_uncompressed(), uncompressed(on_x, on_y));
+  EXPECT_EQ(c0.to_bytes(), compressed(on_x, 0));
+  EXPECT_EQ(c1.to_bytes(), compressed(on_x, 1));
   EXPECT_FALSE(c0.in_subgroup());
-  EXPECT_FALSE(u.in_subgroup());
+  EXPECT_FALSE(c1.in_subgroup());
 
   // (0, 0) is on the curve with order 2: decodes, not in the subgroup.
-  const G1 two_torsion = grp->g1_from_bytes_uncompressed(uncompressed(Bignum(), Bignum()));
+  const G1 two_torsion = grp->g1_from_bytes(compressed(Bignum(), 0));
   EXPECT_FALSE(two_torsion.is_identity());
   EXPECT_FALSE(two_torsion.in_subgroup());
   EXPECT_TRUE((two_torsion + two_torsion).is_identity());
@@ -274,7 +225,6 @@ TEST_P(G1DecoderChecks, RejectMalformedOffCurveAndAcceptCosetPoints) {
   crypto::Drbg rng(std::string_view("decoder-checks"));
   const G1 p = grp->g1_random(rng);
   EXPECT_TRUE(grp->g1_from_bytes(p.to_bytes()).in_subgroup());
-  EXPECT_TRUE(grp->g1_from_bytes_uncompressed(p.to_bytes_uncompressed()).in_subgroup());
   EXPECT_TRUE(grp->g1_identity().in_subgroup());
 }
 

@@ -60,7 +60,6 @@ TEST_F(LoadgenCliTest, RejoinScenarioEmitsRecoveryStats) {
   EXPECT_NE(json.find("\"recovery_convergence_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"recovery_bytes_transferred\""), std::string::npos);
   EXPECT_NE(json.find("\"recovery_files_transferred\""), std::string::npos);
-  EXPECT_NE(json.find("\"recovery_hints_replayed\""), std::string::npos);
   EXPECT_NE(json.find("\"recovery_epochs_resolved\""), std::string::npos);
 }
 

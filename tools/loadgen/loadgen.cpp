@@ -108,7 +108,6 @@ WorkloadReport& WorkloadReport::operator+=(const WorkloadReport& o) {
   recovery_convergence_ms += o.recovery_convergence_ms;
   recovery_bytes_transferred += o.recovery_bytes_transferred;
   recovery_files_transferred += o.recovery_files_transferred;
-  recovery_hints_replayed += o.recovery_hints_replayed;
   recovery_epochs_resolved += o.recovery_epochs_resolved;
   // SLO statuses are lifetime snapshots of one shared plane: the later
   // phase's snapshot subsumes the earlier one.
@@ -361,7 +360,7 @@ void LoadGenerator::fire_event(const ScenarioEvent& ev, WorkloadReport& report) 
     case ScenarioEvent::Kind::kRejoinNode: {
       // Same restart + replay as kRestartNode, but bracketed by the
       // recovery counters so the report carries how much the rejoin
-      // protocol (hint drain + anti-entropy + epoch resolution) moved
+      // protocol (epoch resolution + anti-entropy) moved
       // and how long convergence took.
       const cloud::RecoveryStats before = sys_->cluster().recovery().stats();
       const auto t0 = std::chrono::steady_clock::now();
@@ -377,8 +376,6 @@ void LoadGenerator::fire_event(const ScenarioEvent& ev, WorkloadReport& report) 
           after.bytes_transferred - before.bytes_transferred;
       report.recovery_files_transferred +=
           after.files_transferred - before.files_transferred;
-      report.recovery_hints_replayed +=
-          after.hints_replayed - before.hints_replayed;
       report.recovery_epochs_resolved +=
           (after.epochs_resolved_commit + after.epochs_resolved_abort) -
           (before.epochs_resolved_commit + before.epochs_resolved_abort);

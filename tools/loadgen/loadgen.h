@@ -46,7 +46,7 @@ struct ScenarioEvent {
     kKillNode,         ///< kill `node` (authority outage for its shards)
     kRestartNode,      ///< restart `node` (reconcile + replay)
     kRejoinNode,       ///< restart `node`, timing the recovery protocol
-                       ///< (hints + anti-entropy + epoch resolution) and
+                       ///< (epoch resolution + anti-entropy) and
                        ///< folding the deltas into the report
   };
   size_t at_op = 0;
@@ -122,9 +122,8 @@ struct WorkloadReport {
   // ---- recovery (populated by kRejoinNode events) ----
   uint64_t rejoins = 0;                       ///< kRejoinNode events fired
   double recovery_convergence_ms = 0;         ///< wall time of rejoin + replay
-  uint64_t recovery_bytes_transferred = 0;    ///< hint + anti-entropy payloads
+  uint64_t recovery_bytes_transferred = 0;    ///< anti-entropy payloads
   uint64_t recovery_files_transferred = 0;
-  uint64_t recovery_hints_replayed = 0;
   uint64_t recovery_epochs_resolved = 0;      ///< commit + presumed-abort
 
   /// SLO state at the end of the run (one entry per configured

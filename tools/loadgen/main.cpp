@@ -191,12 +191,11 @@ int main(int argc, char** argv) {
   if (recovery_stats) {
     std::printf("  recovery: %llu rejoins converged in %.2f ms, "
                 "%llu files / %llu bytes transferred, "
-                "%llu hints replayed, %llu epochs resolved\n",
+                "%llu epochs resolved\n",
                 static_cast<unsigned long long>(report.rejoins),
                 report.recovery_convergence_ms,
                 static_cast<unsigned long long>(report.recovery_files_transferred),
                 static_cast<unsigned long long>(report.recovery_bytes_transferred),
-                static_cast<unsigned long long>(report.recovery_hints_replayed),
                 static_cast<unsigned long long>(report.recovery_epochs_resolved));
   }
 
@@ -218,7 +217,6 @@ int main(int argc, char** argv) {
       .put("recovery_convergence_ms", report.recovery_convergence_ms)
       .put("recovery_bytes_transferred", report.recovery_bytes_transferred)
       .put("recovery_files_transferred", report.recovery_files_transferred)
-      .put("recovery_hints_replayed", report.recovery_hints_replayed)
       .put("recovery_epochs_resolved", report.recovery_epochs_resolved);
   if (!report.slo.empty()) {
     maabe::bench::Json slo;
