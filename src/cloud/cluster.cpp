@@ -15,40 +15,6 @@ namespace maabe::cloud {
 
 namespace {
 
-/// Registry handles for the cluster's global counters (PR 4 registry:
-/// sharded-atomic adds, no locks on the data path).
-struct ClusterMetrics {
-  telemetry::Counter& replication_ops;
-  telemetry::Counter& replication_applied;
-  telemetry::Counter& read_repairs;
-  telemetry::Counter& quorum_reads;
-  telemetry::Counter& quorum_failures;
-  telemetry::Counter& epochs_2pc;
-  telemetry::Counter& epoch_commits;
-  telemetry::Counter& epoch_aborts;
-  telemetry::Counter& epoch_commit_orphans;
-  telemetry::Counter& replication_shed;
-  telemetry::Counter& restart_pruned;
-
-  static ClusterMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static ClusterMetrics* m = new ClusterMetrics{
-        reg.counter("maabe_cluster_replication_ops_total"),
-        reg.counter("maabe_cluster_replication_applied_total"),
-        reg.counter("maabe_cluster_read_repairs_total"),
-        reg.counter("maabe_cluster_quorum_reads_total"),
-        reg.counter("maabe_cluster_quorum_failures_total"),
-        reg.counter("maabe_cluster_epochs_2pc_total"),
-        reg.counter("maabe_cluster_epoch_commits_total"),
-        reg.counter("maabe_cluster_epoch_aborts_total"),
-        reg.counter("maabe_cluster_epoch_commit_orphans_total"),
-        reg.counter("maabe_cluster_replication_shed_total"),
-        reg.counter("maabe_cluster_restart_pruned_total"),
-    };
-    return *m;
-  }
-};
-
 // Epoch control verbs on the node-to-node channel.
 constexpr uint8_t kEpochStage = 1;
 constexpr uint8_t kEpochCommit = 2;
@@ -248,14 +214,8 @@ void Cluster::restart_node(const std::string& name) {
         }
         return false;
       });
-  if (pruned > 0) {
-    restart_prunes_.fetch_add(pruned, std::memory_order_relaxed);
-    ClusterMetrics::get().restart_pruned.add(pruned);
-  }
-  if (orphans > 0) {
-    epoch_commit_orphans_.fetch_add(orphans, std::memory_order_relaxed);
-    ClusterMetrics::get().epoch_commit_orphans.add(orphans);
-  }
+  restart_prunes_.add(pruned);
+  epoch_commit_orphans_.add(orphans);
   // Rejoin protocol (DESIGN.md §15): resolve staged-open epochs, then
   // run a scoped Merkle anti-entropy round against each alive peer. The
   // node is byte-identical to its peers afterwards without a full-store
@@ -271,10 +231,7 @@ void Cluster::restart_node(const std::string& name) {
         return parse_versioned_label(label, &fid, &version) &&
                !newer_version(version, version_of(name, fid));
       });
-  if (pruned_after > 0) {
-    restart_prunes_.fetch_add(pruned_after, std::memory_order_relaxed);
-    ClusterMetrics::get().restart_pruned.add(pruned_after);
-  }
+  restart_prunes_.add(pruned_after);
 }
 
 void Cluster::ensure_alive(const Node& n) const {
@@ -338,8 +295,7 @@ bool Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
   bool everywhere = true;
   for (const std::string& replica : ring_.replicas_for(file_id)) {
     if (replica == self) continue;
-    replication_ops_sent_.fetch_add(1, std::memory_order_relaxed);
-    ClusterMetrics::get().replication_ops.inc();
+    replication_ops_sent_.inc();
     // Ops parked ahead replay first and may carry other writes of this
     // file (a parked upload re-coordinated at that replica): the write
     // is then not known to be everywhere, even if this op lands now.
@@ -357,8 +313,7 @@ bool Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
       // the replica.
       if (e.kind() != TransportError::Kind::kOverloaded) throw;
       everywhere = false;
-      replication_sheds_.fetch_add(1, std::memory_order_relaxed);
-      ClusterMetrics::get().replication_shed.inc();
+      replication_sheds_.inc();
     }
   }
   return everywhere;
@@ -384,8 +339,7 @@ void Cluster::apply_replication(Node& n, const ReplicationOp& op) {
     m.version = op.version;
     m.hash = op.hash;
   }
-  replication_ops_applied_.fetch_add(1, std::memory_order_relaxed);
-  ClusterMetrics::get().replication_applied.inc();
+  replication_ops_applied_.inc();
 }
 
 void Cluster::handle_replication(const std::string& self, ByteView op_wire) {
@@ -467,16 +421,14 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
   }
 
   if (replies.size() < quorum) {
-    quorum_failures_.fetch_add(1, std::memory_order_relaxed);
-    ClusterMetrics::get().quorum_failures.inc();
+    quorum_failures_.inc();
     if (span.active()) span.attr("outcome", "quorum_failed");
     throw TransportError(TransportError::Kind::kDegraded,
                          "cluster: quorum read of '" + file_id + "' got " +
                              std::to_string(replies.size()) + "/" +
                              std::to_string(quorum) + " replies");
   }
-  quorum_reads_.fetch_add(1, std::memory_order_relaxed);
-  ClusterMetrics::get().quorum_reads.inc();
+  quorum_reads_.inc();
 
   // Winner: authentic (bytes match the recorded hash) beats corrupt,
   // then the newer version, then ring preference order.
@@ -505,8 +457,7 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
     }
     const ReplicationOp op{file_id, winner->reply.version, true_hash,
                            winner->reply.wire};
-    read_repairs_.fetch_add(1, std::memory_order_relaxed);
-    ClusterMetrics::get().read_repairs.inc();
+    read_repairs_.inc();
     if (r.node == self) {
       apply_replication(coord, op);  // repair our own stale/corrupt copy
       continue;
@@ -523,8 +474,7 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
       // Shed the repair under backpressure; the read itself succeeded
       // and the next read or anti-entropy round finds the divergence.
       if (e.kind() != TransportError::Kind::kOverloaded) throw;
-      replication_sheds_.fetch_add(1, std::memory_order_relaxed);
-      ClusterMetrics::get().replication_shed.inc();
+      replication_sheds_.inc();
     }
   }
   if (span.active()) {
@@ -596,8 +546,7 @@ void Cluster::send_epoch_control(const std::string& self, const std::string& pee
           // staged state: the commit is an orphan. Its copy is stale
           // until anti-entropy / read-repair catches it up — counted,
           // never silent.
-          epoch_commit_orphans_.fetch_add(1, std::memory_order_relaxed);
-          ClusterMetrics::get().epoch_commit_orphans.inc();
+          epoch_commit_orphans_.inc();
         }
       },
       label);
@@ -607,8 +556,7 @@ void Cluster::send_epoch_control(const std::string& self, const std::string& pee
     // stays stale — its staged state shows in epochs_staged_open and
     // quorum reads route around it until read-repair catches it up.
     if (e.kind() != TransportError::Kind::kOverloaded) throw;
-    replication_sheds_.fetch_add(1, std::memory_order_relaxed);
-    ClusterMetrics::get().replication_shed.inc();
+    replication_sheds_.inc();
     if (telemetry::FlightRegistry::armed())
       telemetry::FlightRegistry::global().record_event(
           peer, telemetry::FlightEntry::Kind::kOverloadShed, "epoch_control_shed",
@@ -669,8 +617,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
     return;
   }
 
-  epochs_2pc_.fetch_add(1, std::memory_order_relaxed);
-  ClusterMetrics::get().epochs_2pc.inc();
+  epochs_2pc_.inc();
   const uint64_t epoch_id = next_epoch_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   // Mark the epoch in flight so the recovery resolver never presumes
   // abort on a 2PC that is still executing; removed on every exit path.
@@ -749,8 +696,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
     // A TransportError keeps the epoch message parked at the
     // coordinator, so it replays (and eventually commits everywhere)
     // once the cluster heals.
-    epoch_aborts_.fetch_add(1, std::memory_order_relaxed);
-    ClusterMetrics::get().epoch_aborts.inc();
+    epoch_aborts_.inc();
     for (const std::string& staged : staged_nodes) {
       if (staged == self) {
         apply_epoch_decision(coord, epoch_id, /*commit=*/false);
@@ -783,8 +729,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
     send_epoch_control(self, peer, kEpochCommit, epoch_id,
                        "epoch commit #" + std::to_string(epoch_id));
   }
-  epoch_commits_.fetch_add(1, std::memory_order_relaxed);
-  ClusterMetrics::get().epoch_commits.inc();
+  epoch_commits_.inc();
   if (span.active()) {
     span.attr("staged_nodes", static_cast<uint64_t>(staged_nodes.size()));
     span.attr("outcome", "committed");
@@ -842,18 +787,17 @@ ClusterStats Cluster::stats() const {
   s.nodes = nodes_.size();
   s.alive = alive_count();
   s.replication = config_.replication;
-  s.replication_ops_sent = replication_ops_sent_.load(std::memory_order_relaxed);
-  s.replication_ops_applied =
-      replication_ops_applied_.load(std::memory_order_relaxed);
-  s.read_repairs = read_repairs_.load(std::memory_order_relaxed);
-  s.quorum_reads = quorum_reads_.load(std::memory_order_relaxed);
-  s.quorum_failures = quorum_failures_.load(std::memory_order_relaxed);
-  s.epochs_2pc = epochs_2pc_.load(std::memory_order_relaxed);
-  s.epoch_commits = epoch_commits_.load(std::memory_order_relaxed);
-  s.epoch_aborts = epoch_aborts_.load(std::memory_order_relaxed);
-  s.epoch_commit_orphans = epoch_commit_orphans_.load(std::memory_order_relaxed);
-  s.replication_sheds = replication_sheds_.load(std::memory_order_relaxed);
-  s.restart_prunes = restart_prunes_.load(std::memory_order_relaxed);
+  s.replication_ops_sent = replication_ops_sent_.value();
+  s.replication_ops_applied = replication_ops_applied_.value();
+  s.read_repairs = read_repairs_.value();
+  s.quorum_reads = quorum_reads_.value();
+  s.quorum_failures = quorum_failures_.value();
+  s.epochs_2pc = epochs_2pc_.value();
+  s.epoch_commits = epoch_commits_.value();
+  s.epoch_aborts = epoch_aborts_.value();
+  s.epoch_commit_orphans = epoch_commit_orphans_.value();
+  s.replication_sheds = replication_sheds_.value();
+  s.restart_prunes = restart_prunes_.value();
   for (const auto& n : nodes_) {
     const ServerStats stats = n->store->stats();
     s.store_totals += stats.totals();

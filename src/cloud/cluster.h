@@ -47,6 +47,7 @@
 #include "cloud/replication.h"
 #include "cloud/ring.h"
 #include "cloud/server.h"
+#include "telemetry/metrics.h"
 
 namespace maabe::cloud {
 
@@ -71,6 +72,7 @@ struct NodeHealth {
   uint64_t epochs_staged_open = 0;   ///< staged 2PC epochs awaiting verdict
   uint64_t pending_in = 0;           ///< deliveries parked for this node
   uint64_t replication_lag = 0;      ///< parked replicate/read-repair ops to it
+  uint64_t parked_epochs = 0;        ///< revocation epochs parked at it
   ChannelStats transport_in;         ///< meter rows with to == node
   ChannelStats transport_out;        ///< meter rows with from == node
 };
@@ -267,17 +269,20 @@ class Cluster {
   mutable std::mutex active_epochs_mu_;
   std::set<uint64_t> active_epochs_;
   std::atomic<uint64_t> next_epoch_id_{0};
-  std::atomic<uint64_t> replication_ops_sent_{0};
-  std::atomic<uint64_t> replication_ops_applied_{0};
-  std::atomic<uint64_t> read_repairs_{0};
-  std::atomic<uint64_t> quorum_reads_{0};
-  std::atomic<uint64_t> quorum_failures_{0};
-  std::atomic<uint64_t> epochs_2pc_{0};
-  std::atomic<uint64_t> epoch_commits_{0};
-  std::atomic<uint64_t> epoch_aborts_{0};
-  std::atomic<uint64_t> epoch_commit_orphans_{0};
-  std::atomic<uint64_t> replication_sheds_{0};
-  std::atomic<uint64_t> restart_prunes_{0};
+  telemetry::InstanceCounter replication_ops_sent_{
+      "maabe_cluster_replication_ops_total"};
+  telemetry::InstanceCounter replication_ops_applied_{
+      "maabe_cluster_replication_applied_total"};
+  telemetry::InstanceCounter read_repairs_{"maabe_cluster_read_repairs_total"};
+  telemetry::InstanceCounter quorum_reads_{"maabe_cluster_quorum_reads_total"};
+  telemetry::InstanceCounter quorum_failures_{"maabe_cluster_quorum_failures_total"};
+  telemetry::InstanceCounter epochs_2pc_{"maabe_cluster_epochs_2pc_total"};
+  telemetry::InstanceCounter epoch_commits_{"maabe_cluster_epoch_commits_total"};
+  telemetry::InstanceCounter epoch_aborts_{"maabe_cluster_epoch_aborts_total"};
+  telemetry::InstanceCounter epoch_commit_orphans_{
+      "maabe_cluster_epoch_commit_orphans_total"};
+  telemetry::InstanceCounter replication_sheds_{"maabe_cluster_replication_shed_total"};
+  telemetry::InstanceCounter restart_prunes_{"maabe_cluster_restart_pruned_total"};
 };
 
 }  // namespace maabe::cloud

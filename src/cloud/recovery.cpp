@@ -15,31 +15,6 @@ namespace maabe::cloud {
 
 namespace {
 
-/// Registry handles for the recovery counters (PR 4 registry style).
-struct RecoveryMetrics {
-  telemetry::Counter& syncs;
-  telemetry::Counter& sync_rounds;
-  telemetry::Counter& shards_divergent;
-  telemetry::Counter& files_transferred;
-  telemetry::Counter& bytes_transferred;
-  telemetry::Counter& epochs_resolved;
-  telemetry::Counter& rejoins;
-
-  static RecoveryMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static RecoveryMetrics* m = new RecoveryMetrics{
-        reg.counter("maabe_recovery_syncs_total"),
-        reg.counter("maabe_recovery_sync_rounds_total"),
-        reg.counter("maabe_recovery_shards_divergent_total"),
-        reg.counter("maabe_recovery_files_transferred_total"),
-        reg.counter("maabe_recovery_bytes_transferred_total"),
-        reg.counter("maabe_recovery_epochs_resolved_total"),
-        reg.counter("maabe_recovery_rejoins_total"),
-    };
-    return *m;
-  }
-};
-
 // Recovery verbs on the node-to-node channel. Every exchange is two
 // transport legs (request, reply) so the meter and fault injection see
 // both directions, exactly like the quorum read.
@@ -417,18 +392,11 @@ SyncReport RecoveryManager::sync(const std::string& initiator,
     r.expect_done();
   }
 
-  syncs_.fetch_add(1, std::memory_order_relaxed);
-  sync_rounds_.fetch_add(rep.rounds, std::memory_order_relaxed);
-  shards_divergent_.fetch_add(rep.shards_divergent, std::memory_order_relaxed);
-  files_transferred_.fetch_add(rep.files_pushed + rep.files_pulled,
-                               std::memory_order_relaxed);
-  bytes_transferred_.fetch_add(rep.bytes_transferred, std::memory_order_relaxed);
-  RecoveryMetrics& m = RecoveryMetrics::get();
-  m.syncs.inc();
-  m.sync_rounds.add(rep.rounds);
-  m.shards_divergent.add(rep.shards_divergent);
-  m.files_transferred.add(rep.files_pushed + rep.files_pulled);
-  m.bytes_transferred.add(rep.bytes_transferred);
+  syncs_.inc();
+  sync_rounds_.add(rep.rounds);
+  shards_divergent_.add(rep.shards_divergent);
+  files_transferred_.add(rep.files_pushed + rep.files_pulled);
+  bytes_transferred_.add(rep.bytes_transferred);
   if (span.active()) {
     span.attr("rounds", rep.rounds);
     span.attr("shards_divergent", rep.shards_divergent);
@@ -448,7 +416,7 @@ SyncReport RecoveryManager::sync_all() {
       try {
         agg += sync(a, b);
       } catch (const TransportError&) {
-        sync_failures_.fetch_add(1, std::memory_order_relaxed);
+        sync_failures_.inc();
       }
     }
   }
@@ -511,9 +479,7 @@ size_t RecoveryManager::resolve_staged_epochs() {
                                                : "abort");
       }
       cluster_.apply_epoch_decision(n, epoch_id, commit);
-      (commit ? epochs_resolved_commit_ : epochs_resolved_abort_)
-          .fetch_add(1, std::memory_order_relaxed);
-      RecoveryMetrics::get().epochs_resolved.inc();
+      (commit ? epochs_resolved_commit_ : epochs_resolved_abort_).inc();
       ++resolved;
     }
   }
@@ -530,8 +496,7 @@ void RecoveryManager::rejoin(const std::string& name) {
     span.attr("node", name);
     span.attr("node_id", name);
   }
-  rejoins_.fetch_add(1, std::memory_order_relaxed);
-  RecoveryMetrics::get().rejoins.inc();
+  rejoins_.inc();
   // Order matters: resolve staged epochs first so anti-entropy compares
   // committed state, then a scoped sync against each alive peer brings
   // over every shared file that diverged (writes missed while down,
@@ -543,7 +508,7 @@ void RecoveryManager::rejoin(const std::string& name) {
     try {
       agg += sync(name, peer);
     } catch (const TransportError&) {
-      sync_failures_.fetch_add(1, std::memory_order_relaxed);
+      sync_failures_.inc();
     }
   }
   if (span.active()) {
@@ -555,17 +520,15 @@ void RecoveryManager::rejoin(const std::string& name) {
 
 RecoveryStats RecoveryManager::stats() const {
   RecoveryStats s;
-  s.syncs = syncs_.load(std::memory_order_relaxed);
-  s.sync_rounds = sync_rounds_.load(std::memory_order_relaxed);
-  s.shards_divergent = shards_divergent_.load(std::memory_order_relaxed);
-  s.files_transferred = files_transferred_.load(std::memory_order_relaxed);
-  s.bytes_transferred = bytes_transferred_.load(std::memory_order_relaxed);
-  s.epochs_resolved_commit =
-      epochs_resolved_commit_.load(std::memory_order_relaxed);
-  s.epochs_resolved_abort =
-      epochs_resolved_abort_.load(std::memory_order_relaxed);
-  s.rejoins = rejoins_.load(std::memory_order_relaxed);
-  s.sync_failures = sync_failures_.load(std::memory_order_relaxed);
+  s.syncs = syncs_.value();
+  s.sync_rounds = sync_rounds_.value();
+  s.shards_divergent = shards_divergent_.value();
+  s.files_transferred = files_transferred_.value();
+  s.bytes_transferred = bytes_transferred_.value();
+  s.epochs_resolved_commit = epochs_resolved_commit_.value();
+  s.epochs_resolved_abort = epochs_resolved_abort_.value();
+  s.rejoins = rejoins_.value();
+  s.sync_failures = sync_failures_.value();
   return s;
 }
 

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "telemetry/metrics.h"
 
 namespace maabe::cloud {
 
@@ -139,15 +140,18 @@ class RecoveryManager {
   std::map<std::string, std::unique_ptr<Session>> sessions_;  // responder → latest
   std::atomic<uint64_t> next_sync_id_{0};
 
-  std::atomic<uint64_t> syncs_{0};
-  std::atomic<uint64_t> sync_rounds_{0};
-  std::atomic<uint64_t> shards_divergent_{0};
-  std::atomic<uint64_t> files_transferred_{0};
-  std::atomic<uint64_t> bytes_transferred_{0};
-  std::atomic<uint64_t> epochs_resolved_commit_{0};
-  std::atomic<uint64_t> epochs_resolved_abort_{0};
-  std::atomic<uint64_t> rejoins_{0};
-  std::atomic<uint64_t> sync_failures_{0};
+  telemetry::InstanceCounter syncs_{"maabe_recovery_syncs_total"};
+  telemetry::InstanceCounter sync_rounds_{"maabe_recovery_sync_rounds_total"};
+  telemetry::InstanceCounter shards_divergent_{"maabe_recovery_shards_divergent_total"};
+  telemetry::InstanceCounter files_transferred_{"maabe_recovery_files_transferred_total"};
+  telemetry::InstanceCounter bytes_transferred_{"maabe_recovery_bytes_transferred_total"};
+  // Both verdicts feed one series: the registry counts resolutions.
+  telemetry::InstanceCounter epochs_resolved_commit_{
+      "maabe_recovery_epochs_resolved_total"};
+  telemetry::InstanceCounter epochs_resolved_abort_{
+      "maabe_recovery_epochs_resolved_total"};
+  telemetry::InstanceCounter rejoins_{"maabe_recovery_rejoins_total"};
+  telemetry::InstanceCounter sync_failures_{"maabe_recovery_sync_failures_total"};
 };
 
 }  // namespace maabe::cloud

@@ -117,12 +117,12 @@ class DurableLink {
   void set_pending_cap(size_t cap);
   size_t pending_cap() const;
 
-  /// Rejections (kOverloaded) since construction, mirrored into the
-  /// process-wide maabe_transport_parked_rejected_total counter.
-  uint64_t rejected_total() const;
-  /// Ops dropped by prune_queue since construction, mirrored into
+  /// Rejections (kOverloaded) since construction; they also feed the
+  /// process-wide maabe_transport_parked_rejected_total series.
+  uint64_t rejected_total() const { return rejected_.value(); }
+  /// Ops dropped by prune_queue since construction; they also feed
   /// maabe_transport_parked_pruned_total.
-  uint64_t pruned_total() const;
+  uint64_t pruned_total() const { return pruned_.value(); }
 
   /// Flushes `to`'s queue first (order must be preserved), then either
   /// delivers now (returns true) or parks (returns false). The label is
@@ -170,10 +170,8 @@ class DurableLink {
   mutable std::recursive_mutex mu_;
   std::map<std::string, std::deque<Pending>> pending_;  // keyed by destination
   size_t pending_cap_ = kDefaultPendingCap;
-  uint64_t rejected_ = 0;
-  uint64_t pruned_ = 0;
-  telemetry::Counter& rejected_counter_;
-  telemetry::Counter& pruned_counter_;
+  telemetry::InstanceCounter rejected_{"maabe_transport_parked_rejected_total"};
+  telemetry::InstanceCounter pruned_{"maabe_transport_parked_pruned_total"};
 };
 
 }  // namespace maabe::cloud

@@ -12,34 +12,6 @@
 
 namespace maabe::cloud {
 
-namespace {
-
-/// Registry handles for the server's global counters. fetch() is the
-/// shard-lookup hot path — a single sharded-atomic add, no extra locks.
-struct ServerMetrics {
-  telemetry::Counter& stores;
-  telemetry::Counter& fetches;
-  telemetry::Counter& reencrypted_slots;
-  telemetry::Counter& epochs_committed;
-  telemetry::Counter& epochs_aborted;
-  telemetry::Histogram& epoch_ns;
-
-  static ServerMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static ServerMetrics* m = new ServerMetrics{
-        reg.counter("maabe_server_stores_total"),
-        reg.counter("maabe_server_fetches_total"),
-        reg.counter("maabe_server_reencrypted_slots_total"),
-        reg.counter("maabe_server_epochs_committed_total"),
-        reg.counter("maabe_server_epochs_aborted_total"),
-        reg.histogram("maabe_server_epoch_ns"),
-    };
-    return *m;
-  }
-};
-
-}  // namespace
-
 ShardStats& ShardStats::operator+=(const ShardStats& o) {
   files += o.files;
   bytes += o.bytes;
@@ -74,8 +46,7 @@ void CloudServer::store(StoredFile file) {
   Entry& entry = sh.files[snapshot->file_id];
   sh.bytes = sh.bytes - entry.bytes + bytes;
   entry = Entry{std::move(snapshot), bytes};
-  ++sh.stores;
-  ServerMetrics::get().stores.inc();
+  sh.stores.inc();
 }
 
 bool CloudServer::has_file(const std::string& file_id) const {
@@ -90,8 +61,7 @@ std::shared_ptr<const StoredFile> CloudServer::fetch(const std::string& file_id)
   const auto it = sh.files.find(file_id);
   if (it == sh.files.end())
     throw SchemeError("CloudServer: no file '" + file_id + "'");
-  sh.fetches.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::get().fetches.inc();
+  sh.fetches.inc();
   return it->second.file;
 }
 
@@ -107,7 +77,6 @@ std::vector<std::string> CloudServer::file_ids() const {
 
 CloudServer::StagedEpoch CloudServer::stage_impl(
     const abe::UpdateKey& uk, const std::vector<abe::UpdateInfo>& infos) {
-  ServerMetrics& sm = ServerMetrics::get();
   // Index the update infos by ciphertext id. Two infos for the same
   // ciphertext are a protocol violation — applying an arbitrary one
   // would corrupt the slot, so fail loudly instead.
@@ -181,8 +150,7 @@ CloudServer::StagedEpoch CloudServer::stage_impl(
   } catch (...) {
     // parallel_for rethrows the first failure and may abandon remaining
     // slots — both fine here: the staged copies are simply dropped.
-    epochs_aborted_.fetch_add(1, std::memory_order_relaxed);
-    sm.epochs_aborted.inc();
+    epochs_aborted_.inc();
     throw;
   }
   return epoch;
@@ -190,7 +158,6 @@ CloudServer::StagedEpoch CloudServer::stage_impl(
 
 size_t CloudServer::commit_impl(StagedEpoch& epoch,
                                 std::vector<std::string>* committed_files) {
-  ServerMetrics& sm = ServerMetrics::get();
   // Every slot succeeded; swap the snapshots in under the shard write
   // locks. A file replaced by a concurrent store() since staging keeps
   // the replacement (the epoch covered the files present at stage time).
@@ -204,13 +171,13 @@ size_t CloudServer::commit_impl(StagedEpoch& epoch,
     sh.bytes = sh.bytes - it->second.bytes + bytes;
     if (committed_files != nullptr) committed_files->push_back(sf.staged->file_id);
     it->second = Entry{std::move(sf.staged), bytes};
-    sh.reencrypted_slots += sf.slot_indices.size();
+    sh.reencrypted_slots.add(sf.slot_indices.size());
     committed += sf.slot_indices.size();
   }
-  epochs_committed_.fetch_add(1, std::memory_order_relaxed);
-  sm.epochs_committed.inc();
-  sm.reencrypted_slots.add(committed);
-  sm.epoch_ns.observe(static_cast<uint64_t>(
+  epochs_committed_.inc();
+  static telemetry::Histogram& epoch_ns =
+      telemetry::MetricsRegistry::global().histogram("maabe_server_epoch_ns");
+  epoch_ns.observe(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count()) - epoch.start_ns);
@@ -290,16 +257,14 @@ void CloudServer::abort_reencrypt(uint64_t token) {
   const auto it = staged_epochs_.find(token);
   if (it == staged_epochs_.end()) return;
   staged_epochs_.erase(it);
-  epochs_aborted_.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::get().epochs_aborted.inc();
+  epochs_aborted_.inc();
 }
 
 size_t CloudServer::abort_all_staged() {
   std::lock_guard<std::mutex> lock(staged_mu_);
   const size_t n = staged_epochs_.size();
   staged_epochs_.clear();
-  epochs_aborted_.fetch_add(n, std::memory_order_relaxed);
-  ServerMetrics::get().epochs_aborted.add(n);
+  epochs_aborted_.add(n);
   return n;
 }
 
@@ -332,13 +297,13 @@ ServerStats CloudServer::stats() const {
     ShardStats s;
     s.files = sh.files.size();
     s.bytes = sh.bytes;
-    s.stores = sh.stores;
-    s.fetches = sh.fetches.load(std::memory_order_relaxed);
-    s.reencrypted_slots = sh.reencrypted_slots;
+    s.stores = sh.stores.value();
+    s.fetches = sh.fetches.value();
+    s.reencrypted_slots = sh.reencrypted_slots.value();
     out.shards.push_back(s);
   }
-  out.epochs_committed = epochs_committed_.load(std::memory_order_relaxed);
-  out.epochs_aborted = epochs_aborted_.load(std::memory_order_relaxed);
+  out.epochs_committed = epochs_committed_.value();
+  out.epochs_aborted = epochs_aborted_.value();
   {
     std::lock_guard<std::mutex> lock(staged_mu_);
     out.epochs_staged_open = staged_epochs_.size();

@@ -23,7 +23,6 @@
 // store. A test-only fault hook lets tests prove this.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,6 +31,7 @@
 
 #include "abe/scheme.h"
 #include "cloud/hybrid.h"
+#include "telemetry/metrics.h"
 
 namespace maabe::cloud {
 
@@ -155,9 +155,11 @@ class CloudServer {
     mutable std::shared_mutex mu;
     std::map<std::string, Entry> files;     // guarded by mu
     uint64_t bytes = 0;                     // guarded by mu (exclusive)
-    uint64_t stores = 0;                    // guarded by mu (exclusive)
-    uint64_t reencrypted_slots = 0;         // guarded by mu (exclusive)
-    mutable std::atomic<uint64_t> fetches{0};  // bumped under shared lock
+    telemetry::InstanceCounter stores{"maabe_server_stores_total"};
+    // Bumped by const fetch() under the shared lock.
+    mutable telemetry::InstanceCounter fetches{"maabe_server_fetches_total"};
+    telemetry::InstanceCounter reencrypted_slots{
+        "maabe_server_reencrypted_slots_total"};
   };
   struct StagedFile {
     size_t shard;
@@ -180,8 +182,8 @@ class CloudServer {
   std::shared_ptr<const pairing::Group> grp_;
   std::string node_name_ = "server";
   std::vector<Shard> shards_;
-  std::atomic<uint64_t> epochs_committed_{0};
-  std::atomic<uint64_t> epochs_aborted_{0};
+  telemetry::InstanceCounter epochs_committed_{"maabe_server_epochs_committed_total"};
+  telemetry::InstanceCounter epochs_aborted_{"maabe_server_epochs_aborted_total"};
   std::function<void(const std::string&)> fault_hook_;
   mutable std::mutex staged_mu_;
   uint64_t next_token_ = 0;                       // guarded by staged_mu_

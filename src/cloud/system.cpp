@@ -28,6 +28,12 @@ bool is_replication_label(const std::string& label) {
   return label.starts_with("replicate ") || label.starts_with("read-repair ");
 }
 
+/// A revocation epoch message parked at its coordinator (the 2PC
+/// aborted, or the coordinator was unreachable): it replays on flush.
+bool is_epoch_label(const std::string& label) {
+  return label.starts_with("revocation epoch ");
+}
+
 }  // namespace
 
 CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
@@ -53,19 +59,11 @@ CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
       [this](telemetry::Snapshot& snap) {
         snap.add_gauge("maabe_system_pending_deliveries",
                        static_cast<int64_t>(durable_.pending_count()));
-        snap.add_gauge("maabe_system_sends_ok",
-                       static_cast<int64_t>(link_.sends_ok()));
-        snap.add_gauge("maabe_system_sends_failed",
-                       static_cast<int64_t>(link_.sends_failed()));
-        snap.add_gauge("maabe_system_retries",
-                       static_cast<int64_t>(link_.retries()));
         snap.add_gauge("maabe_system_applied_requests",
                        static_cast<int64_t>(link_.applied_requests()));
         const ChannelStats t = transport_->meter().totals();
         snap.add_gauge("maabe_system_channel_payload_bytes",
                        static_cast<int64_t>(t.payload_bytes));
-        snap.add_gauge("maabe_system_channel_frame_bytes",
-                       static_cast<int64_t>(t.frame_bytes));
         snap.add_gauge("maabe_system_channel_bytes_delivered",
                        static_cast<int64_t>(t.bytes_delivered));
         snap.add_gauge("maabe_system_channel_bytes_accepted",
@@ -119,6 +117,7 @@ NodeHealth CloudSystem::health(const std::string& node_id) const {
   h.pending_in = durable_.pending_for(node_id);
   for (const std::string& label : durable_.pending_labels(node_id)) {
     if (is_replication_label(label)) ++h.replication_lag;
+    if (is_epoch_label(label)) ++h.parked_epochs;
   }
   for (const auto& [channel, stats] : transport_->meter().entries()) {
     if (channel.second == node_id) h.transport_in += stats;
@@ -194,12 +193,14 @@ std::string CloudSystem::status_json() const {
   out += ",\"parked_pruned\":" + std::to_string(parked_pruned_total());
   out += "}";
   uint64_t staged_total = 0;
+  uint64_t parked_total = 0;
   out += ",\"nodes\":[";
   first = true;
   for (const NodeHealth& nh : cluster_health()) {
     if (!first) out += ",";
     first = false;
     staged_total += nh.epochs_staged_open;
+    parked_total += nh.parked_epochs;
     out += "{";
     out += "\"node\":" + status_str(nh.node);
     out += ",\"alive\":" + std::string(nh.alive ? "true" : "false");
@@ -210,10 +211,12 @@ std::string CloudSystem::status_json() const {
     out += ",\"epochs_staged_open\":" + std::to_string(nh.epochs_staged_open);
     out += ",\"pending_in\":" + std::to_string(nh.pending_in);
     out += ",\"replication_lag\":" + std::to_string(nh.replication_lag);
+    out += ",\"parked_epochs\":" + std::to_string(nh.parked_epochs);
     out += "}";
   }
   out += "]";
   out += ",\"staged_epochs\":" + std::to_string(staged_total);
+  out += ",\"parked_epochs\":" + std::to_string(parked_total);
   // The SLO plane exports maabe_slo_<name>_{met,burn_short_x1000,
   // burn_long_x1000,samples} gauges (slo.h); fold them back into
   // per-objective sub-objects so burn rates ride the same document.

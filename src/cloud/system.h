@@ -180,7 +180,8 @@ class CloudSystem {
 
   /// One aggregated cluster-observability document (ISSUE 9): per-node
   /// health (liveness, store totals, epoch ledger, queue depth),
-  /// replication lag, parked-delivery queues, staged 2PC epochs, link
+  /// replication lag, parked-delivery queues, staged 2PC epochs and
+  /// revocation epochs parked at their coordinator, link
   /// counters, and every maabe_slo_* burn-rate gauge currently in the
   /// registry — a single JSON object an operator (or `maabe-loadgen
   /// --status-out`) can poll instead of stitching five views together.

@@ -11,33 +11,9 @@ namespace maabe::cloud {
 
 namespace {
 
-/// Registry handles for the transport's global counters (frame sends
-/// are a telemetry hot path: one sharded-atomic add each, no locks).
-struct TransportMetrics {
-  telemetry::Counter& frames;
-  telemetry::Counter& frame_bytes;
-  telemetry::Counter& deliveries;
-  telemetry::Counter& faults;
-  telemetry::Counter& retries;
-  telemetry::Counter& redeliveries;
-  telemetry::Counter& sends_ok;
-  telemetry::Counter& sends_failed;
-
-  static TransportMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static TransportMetrics* m = new TransportMetrics{
-        reg.counter("maabe_transport_frames_total"),
-        reg.counter("maabe_transport_frame_bytes_total"),
-        reg.counter("maabe_transport_deliveries_total"),
-        reg.counter("maabe_transport_faults_total"),
-        reg.counter("maabe_transport_retries_total"),
-        reg.counter("maabe_transport_redeliveries_total"),
-        reg.counter("maabe_transport_sends_ok_total"),
-        reg.counter("maabe_transport_sends_failed_total"),
-    };
-    return *m;
-  }
-};
+telemetry::Counter& series(std::string_view name) {
+  return telemetry::MetricsRegistry::global().counter(name);
+}
 
 constexpr uint8_t kFrameTag = 0x7A;
 constexpr size_t kChecksumSize = 4;
@@ -221,21 +197,32 @@ FaultPlan::Decision FaultPlan::decide(const std::string& from, const std::string
 
 // ------------------------------------------------ LoopbackTransport --
 
-LoopbackTransport::LoopbackTransport(FaultPlan plan) : plan_(std::move(plan)) {}
+LoopbackTransport::LoopbackTransport(FaultPlan plan)
+    : plan_(std::move(plan)),
+      frames_total_(series("maabe_transport_frames_total")),
+      frame_bytes_total_(series("maabe_transport_frame_bytes_total")),
+      deliveries_total_(series("maabe_transport_deliveries_total")),
+      faults_total_(series("maabe_transport_faults_total")) {}
 
 void LoopbackTransport::deliver(const std::string& from, const std::string& to,
                                 uint64_t request_id, ByteView payload,
                                 const Sink& sink) {
+  // One span per transmission attempt. Ends (and emits) even when the
+  // attempt throws below, with the outcome attribute already recorded —
+  // this is how a traced revocation epoch shows every injected fault.
+  const telemetry::SpanContext ambient = telemetry::Tracer::current();
+  telemetry::Span span = telemetry::Tracer::global().start_span("transport.frame");
   Frame frame;
   frame.from = from;
   frame.to = to;
   frame.request_id = request_id;
-  // Trace-context injection: the sender's current span (the scoped
+  // Trace-context injection: a frame sent under a trace (the scoped
   // "transport.send" for direct sends, the replay span for parked
-  // frames — which preserves the ORIGINATING context) rides the frame
-  // so the receiving side can continue the same trace.
-  const telemetry::SpanContext ctx = telemetry::Tracer::current();
-  if (ctx.valid()) {
+  // frames — which preserves the ORIGINATING context) carries this
+  // attempt's span, so the receiver's work nests under the attempt
+  // that delivered it. An untraced send stays untraced on the wire.
+  if (ambient.valid()) {
+    const telemetry::SpanContext ctx = span.active() ? span.context() : ambient;
     frame.trace_id = ctx.trace_id;
     frame.parent_span_id = ctx.span_id;
     frame.origin_node = from;
@@ -252,14 +239,9 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
     d = plan_.decide(from, to, wire.size());
   }
 
-  TransportMetrics& tm = TransportMetrics::get();
-  tm.frames.inc();
-  tm.frame_bytes.add(wire.size());
+  frames_total_.inc();
+  frame_bytes_total_.add(wire.size());
 
-  // One span per transmission attempt. Ends (and emits) even when the
-  // attempt throws below, with the outcome attribute already recorded —
-  // this is how a traced revocation epoch shows every injected fault.
-  telemetry::Span span = telemetry::Tracer::global().start_span("transport.frame");
   if (span.active()) {
     span.attr("from", from);
     span.attr("to", to);
@@ -289,7 +271,7 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
 
   if (d.script_failure) {
     meter_.apply(from, to, [](ChannelStats& s) { ++s.script_failures; });
-    tm.faults.inc();
+    faults_total_.inc();
     span.attr("outcome", "scripted_failure");
     flight_fault("scripted_failure");
     throw TransportError(TransportError::Kind::kLost,
@@ -300,14 +282,14 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
       ++s.delays;
       s.delay_ms += d.delay_ms;
     });
-    tm.faults.inc();
+    faults_total_.inc();
     now_ms_.fetch_add(d.delay_ms, std::memory_order_relaxed);
     span.attr("delay_ms", d.delay_ms);
     flight_fault("delay");
   }
   if (d.drop) {
     meter_.apply(from, to, [](ChannelStats& s) { ++s.drops; });
-    tm.faults.inc();
+    faults_total_.inc();
     span.attr("outcome", "dropped");
     flight_fault("drop");
     throw TransportError(TransportError::Kind::kLost,
@@ -321,7 +303,7 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
     received = decode_frame(wire);
   } catch (const TransportError&) {
     meter_.apply(from, to, [](ChannelStats& s) { ++s.corruptions; });
-    tm.faults.inc();
+    faults_total_.inc();
     span.attr("outcome", "corrupted");
     flight_fault("corrupt");
     throw;
@@ -349,7 +331,7 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
     ++s.deliveries;
     s.bytes_delivered += received.payload.size();
   });
-  tm.deliveries.inc();
+  deliveries_total_.inc();
   sink(received.request_id, received.payload);
   if (d.duplicate) {
     meter_.apply(from, to, [&](ChannelStats& s) {
@@ -359,16 +341,16 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
       ++s.deliveries;
       s.bytes_delivered += received.payload.size();
     });
-    tm.faults.inc();
-    tm.frames.inc();
-    tm.frame_bytes.add(wire.size());
-    tm.deliveries.inc();
+    faults_total_.inc();
+    frames_total_.inc();
+    frame_bytes_total_.add(wire.size());
+    deliveries_total_.inc();
     flight_fault("duplicate");
     sink(received.request_id, received.payload);
   }
   if (d.ack_loss) {
     meter_.apply(from, to, [](ChannelStats& s) { ++s.ack_losses; });
-    tm.faults.inc();
+    faults_total_.inc();
     span.attr("outcome", "ack_lost");
     flight_fault("ack_loss");
     throw TransportError(TransportError::Kind::kLost,
@@ -380,7 +362,9 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
 // ----------------------------------------------------- ReliableLink --
 
 ReliableLink::ReliableLink(Transport& transport, RetryPolicy policy)
-    : transport_(transport), policy_(policy) {}
+    : transport_(transport),
+      policy_(policy),
+      redeliveries_total_(series("maabe_transport_redeliveries_total")) {}
 
 void ReliableLink::send(const std::string& from, const std::string& to,
                         ByteView payload, const Apply& apply) {
@@ -390,7 +374,6 @@ void ReliableLink::send(const std::string& from, const std::string& to,
 void ReliableLink::send_as(uint64_t request_id, const std::string& from,
                            const std::string& to, ByteView payload,
                            const Apply& apply) {
-  TransportMetrics& tm = TransportMetrics::get();
   // The logical-send span parents every transmission-attempt span the
   // transport emits below, so one trace links a send to its retries.
   telemetry::Span span = telemetry::Tracer::global().start_span("transport.send");
@@ -409,8 +392,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
           policy_.base_backoff_ms << (attempt - 1), policy_.max_backoff_ms);
       transport_.advance_clock(backoff);
       transport_.meter().apply(from, to, [](ChannelStats& s) { s.retries += 1; });
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      tm.retries.inc();
+      retries_.inc();
       if (transport_.now_ms() > deadline) break;
     }
     try {
@@ -432,7 +414,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
             if (!fresh) {
               transport_.meter().apply(
                   from, to, [](ChannelStats& s) { s.redeliveries += 1; });
-              tm.redeliveries.inc();
+              redeliveries_total_.inc();
               // A dedup'd redelivery is an event leaf in the ambient
               // trace (child of the rehydrated recv span), never a new
               // subtree: the duplicate's work was already recorded the
@@ -454,8 +436,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
             std::lock_guard<std::mutex> lock(applied_mu_);
             applied_.insert(key);
           });
-      sends_ok_.fetch_add(1, std::memory_order_relaxed);
-      tm.sends_ok.inc();
+      sends_ok_.inc();
       if (span.active()) {
         span.attr("attempts", attempt + 1);
         span.attr("outcome", "ok");
@@ -465,8 +446,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
       last_error = e.what();
     }
   }
-  sends_failed_.fetch_add(1, std::memory_order_relaxed);
-  tm.sends_failed.inc();
+  sends_failed_.inc();
   if (span.active()) {
     span.attr("attempts", attempt);
     span.attr("outcome", "exhausted");

@@ -29,6 +29,7 @@
 #include "common/errors.h"
 #include "common/wire.h"
 #include "crypto/drbg.h"
+#include "telemetry/metrics.h"
 
 namespace maabe::cloud {
 
@@ -209,6 +210,11 @@ class LoopbackTransport : public Transport {
   ChannelMeter meter_;
   std::map<std::pair<std::string, std::string>, uint64_t> seq_;
   std::atomic<uint64_t> now_ms_{0};
+  // Process-wide series only: the meter keeps the per-channel counts.
+  telemetry::Counter& frames_total_;
+  telemetry::Counter& frame_bytes_total_;
+  telemetry::Counter& deliveries_total_;
+  telemetry::Counter& faults_total_;
 };
 
 // ----------------------------------------------------- ReliableLink --
@@ -262,11 +268,9 @@ class ReliableLink {
 
   // Counters are atomics and the dedup set is mutex-guarded, so these
   // accessors (and concurrent sends) are safe from any thread.
-  uint64_t sends_ok() const { return sends_ok_.load(std::memory_order_relaxed); }
-  uint64_t sends_failed() const {
-    return sends_failed_.load(std::memory_order_relaxed);
-  }
-  uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
+  uint64_t sends_ok() const { return sends_ok_.value(); }
+  uint64_t sends_failed() const { return sends_failed_.value(); }
+  uint64_t retries() const { return retries_.value(); }
   uint64_t applied_requests() const {
     std::lock_guard<std::mutex> lock(applied_mu_);
     return applied_.size();
@@ -278,9 +282,11 @@ class ReliableLink {
   std::atomic<uint64_t> next_request_id_{0};
   mutable std::mutex applied_mu_;  // never held across apply/sink calls
   std::set<std::pair<std::string, uint64_t>> applied_;  // (origin, request id)
-  std::atomic<uint64_t> sends_ok_{0};
-  std::atomic<uint64_t> sends_failed_{0};
-  std::atomic<uint64_t> retries_{0};
+  telemetry::InstanceCounter sends_ok_{"maabe_transport_sends_ok_total"};
+  telemetry::InstanceCounter sends_failed_{"maabe_transport_sends_failed_total"};
+  telemetry::InstanceCounter retries_{"maabe_transport_retries_total"};
+  // The channel meter keeps the per-channel count.
+  telemetry::Counter& redeliveries_total_;
 };
 
 }  // namespace maabe::cloud

@@ -56,9 +56,9 @@ class WireError : public Error {
 };
 
 /// Admission-control rejection outside the transport: a bounded work
-/// queue (e.g. the CryptoEngine submission window) refused new work
-/// instead of growing without bound. Callers treat this as retriable
-/// backpressure, not data loss.
+/// queue refused new work instead of growing without bound. Callers
+/// treat this as retriable backpressure, not data loss; the workload
+/// drivers (tools/loadgen, perfbench) classify it as a rejected op.
 class OverloadError : public Error {
  public:
   using Error::Error;

@@ -41,7 +41,6 @@ struct EngineMetrics {
   telemetry::Counter& precomp_builds;
   telemetry::Counter& precomp_hits;
   telemetry::Counter& batch_wall_ns;
-  telemetry::Counter& sheds;
   telemetry::Histogram& pair_batch_ns;
   telemetry::Histogram& multi_exp_g1_ns;
   telemetry::Histogram& multi_exp_gt_ns;
@@ -63,7 +62,6 @@ struct EngineMetrics {
         reg.counter("maabe_engine_precomp_builds_total"),
         reg.counter("maabe_engine_precomp_hits_total"),
         reg.counter("maabe_engine_batch_wall_ns_total"),
-        reg.counter("maabe_engine_shed_total"),
         reg.histogram("maabe_engine_pair_batch_ns"),
         reg.histogram("maabe_engine_multi_exp_g1_ns"),
         reg.histogram("maabe_engine_multi_exp_gt_ns"),
@@ -310,65 +308,6 @@ class CryptoEngine::BatchScope {
   std::chrono::steady_clock::time_point start_;
 };
 
-// --------------------------------------------------- admission control --
-
-/// RAII reservation against the engine's bounded submission window.
-/// Construction sheds (throws OverloadError) when the window is full;
-/// destruction releases the items. `tl_in_worker` calls run inline on a
-/// pool thread inside an already-admitted batch, so they bypass the
-/// window — counting them again would deadlock a nested sweep against
-/// its own parent's reservation.
-class CryptoEngine::AdmissionTicket {
- public:
-  AdmissionTicket(CryptoEngine& eng, size_t items) : eng_(eng) {
-    if (tl_in_worker) return;
-    eng_.admit_items(items);
-    items_ = items;
-  }
-  ~AdmissionTicket() {
-    if (items_ > 0) eng_.release_items(items_);
-  }
-  AdmissionTicket(const AdmissionTicket&) = delete;
-  AdmissionTicket& operator=(const AdmissionTicket&) = delete;
-
- private:
-  CryptoEngine& eng_;
-  size_t items_ = 0;
-};
-
-void CryptoEngine::set_admission_limit(size_t items) {
-  admission_limit_.store(items, std::memory_order_relaxed);
-}
-
-size_t CryptoEngine::admission_limit() const {
-  return admission_limit_.load(std::memory_order_relaxed);
-}
-
-size_t CryptoEngine::inflight_items() const {
-  return inflight_items_.load(std::memory_order_relaxed);
-}
-
-uint64_t CryptoEngine::shed_total() const {
-  return sheds_.load(std::memory_order_relaxed);
-}
-
-void CryptoEngine::admit_items(size_t items) {
-  const size_t limit = admission_limit_.load(std::memory_order_relaxed);
-  const size_t prior = inflight_items_.fetch_add(items, std::memory_order_relaxed);
-  if (limit == 0 || prior + items <= limit) return;
-  inflight_items_.fetch_sub(items, std::memory_order_relaxed);
-  sheds_.fetch_add(1, std::memory_order_relaxed);
-  EngineMetrics::get().sheds.inc();
-  throw OverloadError("CryptoEngine: admission window full (" +
-                      std::to_string(prior) + " in flight, limit " +
-                      std::to_string(limit) + "): shedding batch of " +
-                      std::to_string(items));
-}
-
-void CryptoEngine::release_items(size_t items) {
-  inflight_items_.fetch_sub(items, std::memory_order_relaxed);
-}
-
 // --------------------------------------------------------- construction --
 
 CryptoEngine::CryptoEngine(const Group& grp, int threads)
@@ -452,7 +391,6 @@ pairing::ParallelFor CryptoEngine::table_builder() {
 
 void CryptoEngine::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  AdmissionTicket ticket(*this, n);
   // The sweep span sits beside the items rather than above them (it is
   // not made current): items parent on the caller's span exactly as
   // they would if the caller had looped over them itself.
@@ -476,20 +414,13 @@ void CryptoEngine::parallel_for_all(size_t n, const std::function<void(size_t)>&
       errors[i] = std::current_exception();
     }
   };
-  try {
-    parallel_for(n, item);
-  } catch (const OverloadError&) {
-    // Items never throw out of `item`, so this is the admission shed:
-    // nothing ran yet.
-    for (size_t i = 0; i < n; ++i) item(i);
-  }
+  parallel_for(n, item);
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }
 }
 
 std::vector<GT> CryptoEngine::pair_batch(const std::vector<PairTerm>& terms) {
-  AdmissionTicket ticket(*this, terms.size());
   BatchScope scope(*this, EngineMetrics::get().pair_batch_ns, "engine.pair_batch");
   const size_t n = terms.size();
   scope.delta.pairings = n;
@@ -529,7 +460,6 @@ GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
                                        const std::vector<Zr>& exps) {
   if (!exps.empty() && exps.size() != terms.size())
     throw MathError("pairing_power_product: terms/exps size mismatch");
-  AdmissionTicket ticket(*this, terms.size());
   BatchScope scope(*this, EngineMetrics::get().pair_batch_ns,
                    "engine.pairing_product");
   const size_t n = terms.size();
@@ -597,7 +527,6 @@ GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
 }
 
 GT CryptoEngine::pair(const pairing::G1& a, const pairing::G1& b) {
-  AdmissionTicket ticket(*this, 1);
   BatchScope scope(*this, EngineMetrics::get().pair_batch_ns, "engine.pair");
   scope.delta.pairings = 1;
   scope.set_items(1);
@@ -638,7 +567,6 @@ void CryptoEngine::warm_pair_precomp(const pairing::G1& base) {
 
 std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
                                            bool cache_bases) {
-  AdmissionTicket ticket(*this, terms.size());
   BatchScope scope(*this, EngineMetrics::get().multi_exp_g1_ns,
                    "engine.multi_exp_g1");
   const size_t n = terms.size();
@@ -671,7 +599,6 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
 
 std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
                                            bool cache_bases) {
-  AdmissionTicket ticket(*this, terms.size());
   BatchScope scope(*this, EngineMetrics::get().multi_exp_gt_ns,
                    "engine.multi_exp_gt");
   const size_t n = terms.size();
@@ -701,7 +628,6 @@ std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
 }
 
 std::vector<G1> CryptoEngine::g_pow_batch(const std::vector<Zr>& exps) {
-  AdmissionTicket ticket(*this, exps.size());
   BatchScope scope(*this, EngineMetrics::get().g_pow_batch_ns,
                    "engine.g_pow_batch");
   scope.delta.g1_exps = exps.size();
@@ -713,7 +639,6 @@ std::vector<G1> CryptoEngine::g_pow_batch(const std::vector<Zr>& exps) {
 }
 
 std::vector<GT> CryptoEngine::egg_pow_batch(const std::vector<Zr>& exps) {
-  AdmissionTicket ticket(*this, exps.size());
   BatchScope scope(*this, EngineMetrics::get().egg_pow_batch_ns,
                    "engine.egg_pow_batch");
   scope.delta.gt_exps = exps.size();

@@ -34,7 +34,6 @@
 // multiple threads; batches are serialized on the pool.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -94,21 +93,6 @@ class CryptoEngine {
   int threads() const { return threads_; }
   /// Resize the pool (joins and respawns workers). `0` = default.
   void set_threads(int threads);
-
-  // ---- Admission control -------------------------------------------
-  /// Bounds the engine's submission window: while more than `items`
-  /// batch items (pairing terms, exponentiation terms, parallel_for
-  /// iterations) are in flight across all callers, further batch calls
-  /// are shed with OverloadError instead of queueing behind the pool.
-  /// `0` (the default) disables the bound — the process-wide for_group
-  /// engines stay unbounded unless a deployment opts in.
-  void set_admission_limit(size_t items);
-  size_t admission_limit() const;
-  /// Batch items currently admitted (approximate while calls race).
-  size_t inflight_items() const;
-  /// Batch calls shed with OverloadError since construction, mirrored
-  /// into maabe_engine_shed_total.
-  uint64_t shed_total() const;
 
   // ---- Batched operations ------------------------------------------
   struct PairTerm {
@@ -173,8 +157,6 @@ class CryptoEngine {
   /// parallel_for for work that must run to completion: every item runs
   /// even when another throws, and the first failure in INDEX order is
   /// rethrown afterwards, so the error is the same at any thread count.
-  /// A sweep the admission window sheds runs inline on the caller
-  /// instead of being dropped (its items are already-accepted work).
   void parallel_for_all(size_t n, const std::function<void(size_t)>& fn);
 
   // ---- Accounting --------------------------------------------------
@@ -190,13 +172,6 @@ class CryptoEngine {
   struct Pool;
   struct LruCache;
   class BatchScope;  // RAII per-batch delta accumulator (engine.cpp)
-  class AdmissionTicket;  // RAII admit/release around a batch (engine.cpp)
-
-  /// Reserves `items` against the admission window; throws OverloadError
-  /// (and counts the shed) when the window is full. Paired with
-  /// release_items by AdmissionTicket.
-  void admit_items(size_t items);
-  void release_items(size_t items);
 
   void ensure_pool();
   /// parallel_for's dispatch without the task accounting — batch APIs
@@ -219,9 +194,6 @@ class CryptoEngine {
   std::unique_ptr<LruCache> cache_;   // variable-base window tables
   mutable std::mutex stats_mu_;       // guards stats_
   EngineStats stats_;
-  std::atomic<size_t> admission_limit_{0};  // 0 = unbounded
-  std::atomic<size_t> inflight_items_{0};
-  std::atomic<uint64_t> sheds_{0};
   mutable std::mutex mu_;             // guards pool_ resize
 };
 

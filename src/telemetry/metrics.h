@@ -5,7 +5,9 @@
 // through std::atomic cells — counters shard their cells across cache
 // lines so concurrent writers do not bounce a single line. The registry
 // mutex is touched only when a metric handle is first interned; callers
-// cache the returned reference (handles live until process exit).
+// cache the returned reference (handles live until process exit). An
+// object that reports its own count of an event holds an
+// InstanceCounter, which feeds the registry series in the same call.
 //
 // Snapshots are pull-based: collect() sums the cells and then runs the
 // registered collector callbacks, which let subsystems that keep their
@@ -191,6 +193,33 @@ class MetricsRegistry {
   mutable std::mutex collector_mu_;
   std::map<uint64_t, Collector> collectors_;
   uint64_t next_collector_id_ = 1;
+};
+
+/// One object's count of an event that also feeds the process-wide
+/// series of the same name: add() bumps a relaxed per-instance atomic
+/// and the interned registry Counter, so each event is one call, the
+/// object reads its exact count back with value(), and the registry
+/// series stays the monotonic sum over every instance in the process
+/// (several CloudSystems can share one process). Several instance
+/// counters may feed one series.
+class InstanceCounter {
+ public:
+  explicit InstanceCounter(std::string_view series)
+      : series_(MetricsRegistry::global().counter(series)) {}
+
+  void add(uint64_t delta) noexcept {
+    own_.fetch_add(delta, std::memory_order_relaxed);
+    series_.add(delta);
+  }
+  void inc() noexcept { add(1); }
+  uint64_t value() const noexcept { return own_.load(std::memory_order_relaxed); }
+
+  InstanceCounter(const InstanceCounter&) = delete;
+  InstanceCounter& operator=(const InstanceCounter&) = delete;
+
+ private:
+  Counter& series_;
+  std::atomic<uint64_t> own_{0};
 };
 
 /// Per-op timing of individual pairing-layer calls (pair, g^k, ...).

@@ -402,5 +402,43 @@ TEST_F(ClusterObservability, StatusJsonAggregatesClusterHealthAndSlo) {
   EXPECT_NE(doc.find("\"samples\":2", slo_at), std::string::npos);
 }
 
+// A revocation epoch parked behind a dead replica is unfinished work:
+// the status document counts it per node (at the coordinator that
+// parks it) and in total, and the count returns to 0 once the replica
+// rejoins and the queue replays.
+TEST_F(ClusterObservability, StatusJsonShowsParkedRevocationEpochs) {
+  auto grp = Group::test_small();
+  sys_ = make_system(grp, 3, 2);
+  enroll(*sys_);
+  for (const char* f : {"f1", "f2", "f3", "f4"}) {
+    sys_->upload("hosp", f, {{"a", bytes_of(std::string("rec ") + f), "Doctor@Med"}});
+  }
+  const std::string coord = sys_->cluster().coordinator();
+  EXPECT_NE(sys_->status_json().find("\"parked_epochs\":0"), std::string::npos);
+
+  sys_->cluster().kill_node("node:2");
+  EXPECT_EQ(sys_->revoke_attribute("Med", "bob", "Doctor"), 0u);
+
+  EXPECT_GE(sys_->health(coord).parked_epochs, 1u);
+  uint64_t parked = 0;
+  for (const NodeHealth& nh : sys_->cluster_health()) parked += nh.parked_epochs;
+  ASSERT_GE(parked, 1u);
+  const std::string doc = sys_->status_json();
+  EXPECT_NE(doc.find("\"staged_epochs\":0"), std::string::npos);
+  EXPECT_NE(doc.find("\"parked_epochs\":" + std::to_string(parked) + ",\"slo\""),
+            std::string::npos)
+      << doc;
+
+  sys_->cluster().restart_node("node:2");
+  for (int i = 0; i < 20 && sys_->flush_pending() > 0; ++i) {
+  }
+  for (const NodeHealth& nh : sys_->cluster_health()) {
+    EXPECT_EQ(nh.parked_epochs, 0u) << nh.node;
+  }
+  EXPECT_NE(sys_->status_json().find("\"parked_epochs\":0,\"slo\""),
+            std::string::npos);
+  EXPECT_GT(sys_->cluster().total_reencrypted_slots(), 0u);
+}
+
 }  // namespace
 }  // namespace maabe::cloud

@@ -10,8 +10,7 @@
 //      parked delivery replayed inside a later fan-out.
 //   3. One consumer's failed apply never stops another's; the first
 //      failure in consumer order is rethrown after the owners ran.
-//   4. An admission window too small for the drain never drops work.
-//   5. A malformed epoch message fails with the same WireError at any
+//   4. A malformed epoch message fails with the same WireError at any
 //      thread count, and its 2PC aborts cleanly.
 // Retirement: the owner forgets a superseded revision only once its
 // replacement is on every replica; until then the old one stays
@@ -237,29 +236,6 @@ TEST(RevocationFanoutTest, FailedDeliveryDoesNotBlockTheConsumersLaterOnes) {
   EXPECT_EQ(sys->health().pending_deliveries, 0u);
   EXPECT_EQ(slot_state(*sys, "bob", "rec"), CloudSystem::SlotState::kNoKey);
   EXPECT_EQ(slot_state(*sys, "alice", "rec"), CloudSystem::SlotState::kOk);
-}
-
-// ------------------------------------------------- admission backstop --
-
-TEST(RevocationFanoutTest, ShedDrainAppliesInline) {
-  const auto grp = Group::test_small();
-  auto sys = make_system(grp, 3, 2);
-  const std::vector<std::string> users = {"alice", "u1", "u2", "u3", "u4", "u5"};
-  enroll(*sys, users);
-  sys->upload("hosp", "rec", {{"a", bytes_of("x"), "Doctor@Med"}});
-
-  // Six consumers get a delivery; the window admits three items.
-  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(*grp);
-  const uint64_t sheds_before = eng.shed_total();
-  eng.set_admission_limit(3);
-  (void)sys->revoke_attribute("Med", "alice", "Doctor");
-  eng.set_admission_limit(0);
-
-  EXPECT_GT(eng.shed_total(), sheds_before);
-  for (const std::string& uid : users)
-    EXPECT_EQ(key_version(*sys, uid), sys->authority("Med").version()) << uid;
-  EXPECT_EQ(slot_state(*sys, "u1", "rec"), CloudSystem::SlotState::kOk);
-  EXPECT_EQ(slot_state(*sys, "alice", "rec"), CloudSystem::SlotState::kNoKey);
 }
 
 // --------------------------------------------- epoch decode determinism --

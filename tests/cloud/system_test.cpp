@@ -308,10 +308,9 @@ TEST_F(SystemTest, TelemetrySnapshotMatchesStructuredStats) {
   const CloudSystem::Health h = sys.health();
   const ShardStats server = sys.server().stats().totals();
 
-  // Collector gauges: this system is the only one alive in the fixture,
-  // but the registry is process-wide, so assert lower bounds.
-  EXPECT_GE(snap.gauge("maabe_system_sends_ok"), 0);
-  EXPECT_GE(static_cast<uint64_t>(snap.gauge("maabe_system_sends_ok")), h.sends_ok);
+  // This system is the only one alive in the fixture, but the registry
+  // is process-wide, so assert lower bounds.
+  EXPECT_GE(snap.counter("maabe_transport_sends_ok_total"), h.sends_ok);
   EXPECT_GE(static_cast<uint64_t>(snap.gauge("maabe_system_server_files")),
             server.files);
   EXPECT_GE(static_cast<uint64_t>(snap.gauge("maabe_system_channel_payload_bytes")),

@@ -335,13 +335,6 @@ TEST_F(EngineTest, ParallelForAllRunsEveryItemAndRethrowsTheFirstInIndexOrder) {
     }
     EXPECT_EQ(error, "item 9") << threads << " threads";
     for (size_t i = 0; i < kN; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
-
-    // A sweep the admission window sheds runs inline instead.
-    eng.set_admission_limit(4);
-    std::atomic<size_t> count{0};
-    eng.parallel_for_all(16, [&](size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 16u);
-    EXPECT_EQ(eng.shed_total(), 1u);
   }
 }
 

@@ -1,7 +1,8 @@
 // Span/Tracer semantics plus the end-to-end acceptance scenario: one
 // fault-injected revocation epoch produces a causally-linked span tree
 // — revocation root -> transport send/frames (including every scripted
-// retry) -> server epoch -> per-slot re-encrypts — under a single
+// retry) -> the delivering frame's recv -> server epoch -> per-slot
+// re-encrypts — under a single
 // trace id (DESIGN.md §11).
 #include <gtest/gtest.h>
 
@@ -312,6 +313,20 @@ TEST(Trace, FaultInjectedRevocationEpochYieldsLinkedSpanTree) {
   EXPECT_EQ(attr_of(*epoch_send, "outcome"), "ok");
   EXPECT_EQ(scripted, 2u);
   EXPECT_EQ(delivered, 1u);
+
+  // The receiver's work hangs under the attempt that delivered it, not
+  // under the logical send: the frame carries the attempt span's context.
+  const SpanRecord* recv = nullptr;
+  for (const SpanRecord& rec : records) {
+    if (rec.name != "transport.recv" || attr_of(rec, "node_id") != "server") continue;
+    const SpanRecord* parent = by_id.at(rec.parent_id);
+    if (parent->parent_id == epoch_send->span_id) recv = &rec;
+  }
+  ASSERT_NE(recv, nullptr) << "no recv under an attempt of the epoch send";
+  const SpanRecord* attempt = by_id.at(recv->parent_id);
+  EXPECT_EQ(attempt->name, "transport.frame");
+  EXPECT_EQ(attr_of(*attempt, "outcome"), "delivered");
+  EXPECT_EQ(attr_of(*recv, "request_id"), attr_of(*epoch_send, "request_id"));
 
   // The server epoch and its per-slot children (pool workers, explicit
   // parent) are in the same tree.
